@@ -5,9 +5,14 @@ The package is organized in four layers:
 
 - :mod:`noonsim.fock` -- truncated two-mode Fock space: states, ladder and
   number-shift operators, associated Laguerre polynomials, tensor embedding.
-- :mod:`noonsim.dynamics` -- fourth-sideband Hamiltonians and propagators:
-  the closed-form four-phonon unitary, an eigendecomposition matrix
-  exponential used as an independent oracle, and carrier rotations.
+- :mod:`noonsim.dynamics` -- sideband pulses and carrier rotations.  The
+  runtime propagator is a pair-rotation kernel on the amplitude tensor:
+  each sideband pulse is a set of 2x2 rotations on the pairs
+  (|e,n>, |g,n+k>), with the closed and full forms differing only in their
+  table of Rabi frequencies, and a carrier pulse is one 2x2 matrix on the
+  qubit axis.  The dense builders (sideband Hamiltonian, closed-form
+  four-phonon unitary, eigendecomposition matrix exponential, dense carrier
+  rotation) are kept as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
   (exact for the vacuum pulse, grid-searched for the superposition pulse),
   measurement post-selection and NOON fidelity scoring.
@@ -43,6 +48,7 @@ from .dynamics import (
     expm_oracle,
     carrier_rotation,
     apply_pulse,
+    apply_rotation,
     apply_operator,
 )
 from .protocol import (
@@ -71,7 +77,8 @@ __all__ = [
     "embed", "basis_state", "inner", "norm", "fidelity",
     "PulseSpec", "RotationSpec", "PhysicsError",
     "coupling_g", "sideband_hamiltonian", "closed_form_unitary",
-    "expm_oracle", "carrier_rotation", "apply_pulse", "apply_operator",
+    "expm_oracle", "carrier_rotation", "apply_pulse", "apply_rotation",
+    "apply_operator",
     "Prepare", "SidebandPulse", "Rotate", "MeasureQubit",
     "VacuumPi", "SuperpositionPi", "MeasurementRecord", "RunResult",
     "NoonFidelity", "vacuum_pulse_time", "superposition_pulse_time",

@@ -2,14 +2,23 @@
 
 The k-th sideband couples |g, n+k> to |e, n> with matrix element
 
-    Omega * exp(-eta^2/2) * eta^k * L_n^(k)(eta^2) * sqrt(n! / (n+k)!)
+    Omega_n = Omega * exp(-eta^2/2) * eta^k * L_n^(k)(eta^2) * sqrt(n! / (n+k)!)
 
 For k = 4 and eta << 1 this reduces to g * sqrt((n+4)(n+3)(n+2)(n+1)) with
-g = Omega * eta^4 / 24, and the propagator has a closed 2x2 block form in
-the electronic basis (cosines on the diagonal, four-phonon shifts off it).
-Both routes are implemented: the closed form, and exponentiation of the
-full Hamiltonian via Hermitian eigendecomposition, each usable as an
-independent check of the other.
+g = Omega * eta^4 / 24.  Either way the Hamiltonian only couples the pairs
+(|e, n>, |g, n+k>) of the driven mode, so e^{-iHt} is a direct sum of 2x2
+rotations: cos(Omega_n t) on the diagonal, -i sin(Omega_n t) off it.  The
+two pulse forms differ only in their table of frequencies Omega_n
+(``rabi_frequencies``).  ``apply_pulse`` applies the rotations directly to
+the (2, dx, dy) amplitude tensor, and ``apply_rotation`` applies a carrier
+pulse as one 2x2 matrix on the qubit axis; together they are the runtime
+propagators, and their cost is linear in the number of amplitudes.
+
+The dense dim x dim builders -- ``sideband_hamiltonian``,
+``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
+``carrier_rotation`` and ``apply_operator`` -- are reference oracles that
+tests compare the runtime propagators against; nothing on the runtime path
+builds them.
 
 Phase convention: the sideband coupling is taken real and positive.  The
 i^k phase of the plane-wave expansion is a global gauge on each pulse and
@@ -62,6 +71,9 @@ class PulseSpec:
     form: str = "closed"
 
     def __post_init__(self):
+        _require_finite(eta=self.eta, omega=self.omega)
+        if isinstance(self.duration, (int, float)):
+            _require_finite(duration=self.duration)
         if self.axis not in ("x", "y"):
             raise ValueError(f"pulse axis must be 'x' or 'y', got {self.axis!r}")
         if self.k < 1:
@@ -88,6 +100,15 @@ class RotationSpec:
     theta: float
     phi: float
 
+    def __post_init__(self):
+        _require_finite(theta=self.theta, phi=self.phi)
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 def coupling_g(spec: PulseSpec) -> float:
     """Effective four-phonon coupling g = Omega * eta^4 / 4!."""
@@ -112,6 +133,20 @@ def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.nda
     return full.reshape(trunc.dim, trunc.dim)
 
 
+def _check_guard(k: int, trunc: Truncation) -> None:
+    if trunc.guard < k:
+        raise PhysicsError(f"guard band {trunc.guard} too small for a k = {k} pulse")
+
+
+def _driven_dim(spec: PulseSpec, trunc: Truncation) -> int:
+    """Dimension of the driven mode, once the pulse is known to fit it."""
+    _check_guard(spec.k, trunc)
+    d = trunc.dim_of(spec.axis)
+    if d <= spec.k:
+        raise PhysicsError("truncation too small for the requested sideband order")
+    return d
+
+
 def sideband_element(n: int, k: int, eta: float, omega: float) -> float:
     """<e, n| H |g, n+k> of the k-th sideband Hamiltonian."""
     lg_fact = math.lgamma(n + 1) - math.lgamma(n + k + 1)
@@ -130,13 +165,7 @@ def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     Couples |e, n> <-> |g, n+k> on the driven axis; all other elements
     vanish.
     """
-    if trunc.guard < spec.k:
-        raise PhysicsError(
-            f"guard band {trunc.guard} too small for a k = {spec.k} pulse"
-        )
-    d = trunc.dim_of(spec.axis)
-    if d <= spec.k:
-        raise PhysicsError("truncation too small for the requested sideband order")
+    d = _driven_dim(spec, trunc)
     g_idx, e_idx = QUBIT_INDEX["g"], QUBIT_INDEX["e"]
     h = np.zeros((2 * d, 2 * d), dtype=complex)
     for n in range(d - spec.k):
@@ -144,6 +173,18 @@ def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
         h[e_idx * d + n, g_idx * d + n + spec.k] = elem
         h[g_idx * d + n + spec.k, e_idx * d + n] = elem
     return _embed_qubit_axis(h, spec.axis, trunc)
+
+
+def rabi_frequencies(spec: PulseSpec, n) -> np.ndarray:
+    """Rabi frequency Omega_n of each pair (|e, n>, |g, n+k>) the pulse couples.
+
+    ``form="closed"`` gives g sqrt((n+4)(n+3)(n+2)(n+1)) (k = 4 only);
+    ``form="full"`` gives ``sideband_element(n, k, eta, omega)``.
+    """
+    n = np.asarray(n, dtype=float)
+    if spec.form == "closed":
+        return coupling_g(spec) * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
+    return np.array([sideband_element(int(m), spec.k, spec.eta, spec.omega) for m in n])
 
 
 def _four_phonon_freq(n: int) -> float:
@@ -165,8 +206,7 @@ def closed_form_unitary(g: float, t: float, trunc: Truncation, axis: str) -> np.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if trunc.guard < 4:
-        raise PhysicsError("closed-form four-phonon unitary requires guard >= 4")
+    _check_guard(4, trunc)
     d = trunc.dim_of(axis)
     g_idx, e_idx = QUBIT_INDEX["g"], QUBIT_INDEX["e"]
     u = np.eye(2 * d, dtype=complex)
@@ -192,21 +232,33 @@ def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
-    """On-resonance qubit rotation, identity on both modes.
+def _qubit_rotation(spec: RotationSpec) -> np.ndarray:
+    """R(theta, phi) = exp(-i (theta/2) (cos phi sigma_x + sin phi sigma_y)).
 
-    R(theta, phi) = exp(-i (theta/2) (cos phi sigma_x + sin phi sigma_y)),
-    in the (g, e) ordering of the qubit index.  R(pi/2, -pi/2) maps
-    |e> -> (|e> + |g>)/sqrt(2) and |g> -> (-|e> + |g>)/sqrt(2).
+    A 2x2 matrix in the (g, e) ordering of the qubit index.  R(pi/2, -pi/2)
+    maps |e> -> (|e> + |g>)/sqrt(2) and |g> -> (-|e> + |g>)/sqrt(2).
     """
     c = math.cos(spec.theta / 2.0)
     s = math.sin(spec.theta / 2.0)
     # -i (cos(phi) sigma_x + sin(phi) sigma_y), basis (|g>, |e>)
     off_ge = -1j * (math.cos(spec.phi) - 1j * math.sin(spec.phi))
     off_eg = -1j * (math.cos(spec.phi) + 1j * math.sin(spec.phi))
-    r2 = np.array([[c, s * off_ge], [s * off_eg, c]], dtype=complex)
+    return np.array([[c, s * off_ge], [s * off_eg, c]], dtype=complex)
+
+
+def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
+    """Dense on-resonance qubit rotation, identity on both modes.
+
+    Reference form of ``apply_rotation``, built from the same 2x2 matrix.
+    """
     iq = np.eye(trunc.dim_x * trunc.dim_y, dtype=complex)
-    return np.kron(r2, iq)
+    return np.kron(_qubit_rotation(spec), iq)
+
+
+def apply_rotation(state: HybridState, spec: RotationSpec) -> HybridState:
+    """Apply the carrier rotation R(theta, phi) to the qubit axis."""
+    amp = np.einsum("pq,qxy->pxy", _qubit_rotation(spec), state.amp)
+    return HybridState(amp, state.trunc, normalized=state.normalized)
 
 
 def apply_operator(u: np.ndarray, state: HybridState, normalized: bool = True) -> HybridState:
@@ -227,6 +279,25 @@ def guard_band_population(state: HybridState, axis: str) -> float:
     return float(np.sum(p[:, :, state.trunc.dim_y - g :]))
 
 
+def _rotate_pairs(amp: np.ndarray, axis: str, k: int, phase: np.ndarray) -> np.ndarray:
+    """Rotate every pair (|e, n>, |g, n+k>) of one mode by its angle phase[n].
+
+    The pair is mapped by [[cos, -i sin], [-i sin, cos]].  Amplitudes without
+    a partner inside the mode (|e, n> with n + k above the cutoff, |g, n>
+    with n < k) are left fixed, as in ``closed_form_unitary``.
+    """
+    e_idx, g_idx = QUBIT_INDEX["e"], QUBIT_INDEX["g"]
+    m = len(phase)
+    c, s = np.cos(phase)[:, None], -1j * np.sin(phase)[:, None]
+    out = amp.copy()
+    # bring the driven mode to axis 1; swapaxes gives views, so writes to o land in out
+    a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(1, 2))
+    e, g = a[e_idx, :m], a[g_idx, k : k + m]
+    o[e_idx, :m] = c * e + s * g
+    o[g_idx, k : k + m] = s * e + c * g
+    return out
+
+
 def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float]:
     """Propagate one sideband pulse; returns (new state, guard-band leakage).
 
@@ -238,10 +309,8 @@ def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float
         raise ValueError(
             "apply_pulse needs a numeric duration; resolve auto markers first"
         )
-    if spec.form == "closed":
-        u = closed_form_unitary(coupling_g(spec), float(t), state.trunc, spec.axis)
-    else:
-        h = sideband_hamiltonian(spec, state.trunc)
-        u = expm_oracle(h, float(t))
-    out = apply_operator(u, state)
+    d = _driven_dim(spec, state.trunc)
+    phase = rabi_frequencies(spec, np.arange(d - spec.k)) * float(t)
+    amp = _rotate_pairs(state.amp, spec.axis, spec.k, phase)
+    out = HybridState(amp, state.trunc, normalized=state.normalized)
     return out, guard_band_population(out, spec.axis)

@@ -67,16 +67,24 @@ def _parse_angle(text: str, line: int, col: int) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         return sign * num * math.pi / den
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"invalid angle {text!r}", line, col) from None
+    return _finite(value, text, line, col)
 
 
 def _parse_real(text: str, line: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"invalid number {text!r}", line, col) from None
+    return _finite(value, text, line, col)
+
+
+def _finite(value: float, text: str, line: int, col: int) -> float:
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text!r}", line, col)
+    return value
 
 
 def _parse_int(text: str, line: int, col: int) -> int:

@@ -36,10 +36,9 @@ from .dynamics import (
     PhysicsError,
     PulseSpec,
     RotationSpec,
-    apply_operator,
     apply_pulse,
-    carrier_rotation,
-    coupling_g,
+    apply_rotation,
+    rabi_frequencies,
 )
 
 SQRT24 = math.sqrt(24.0)
@@ -153,23 +152,16 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
 
 
 def _pulse_frequencies(spec: PulseSpec) -> tuple[float, float]:
-    """Rabi frequencies of the |e,0><->|g,4> and |e,4><->|g,8> transitions.
+    """Rabi frequencies of the |e,0><->|g,k> and |e,k><->|g,2k> transitions.
 
-    For the closed form these are sqrt(24) g and sqrt(1680) g; for the full
-    Hamiltonian they carry the exp(-eta^2/2) and Laguerre corrections, and
-    the pulse times must be solved from the dynamics actually applied or
-    the O(eta^2) frequency shifts accumulate over the long superposition
-    pulse.
+    They come from the same frequency table the pulse is propagated with:
+    for the closed form sqrt(24) g and sqrt(1680) g; for the full
+    Hamiltonian with the exp(-eta^2/2) and Laguerre corrections, since the
+    pulse times must be solved from the dynamics actually applied or the
+    O(eta^2) frequency shifts accumulate over the long superposition pulse.
     """
-    if spec.form == "closed":
-        g = coupling_g(spec)
-        return SQRT24 * g, SQRT1680 * g
-    from .dynamics import sideband_element
-
-    return (
-        sideband_element(0, spec.k, spec.eta, spec.omega),
-        sideband_element(4, spec.k, spec.eta, spec.omega),
-    )
+    w_vac, w_super = rabi_frequencies(spec, [0, spec.k]).tolist()
+    return w_vac, w_super
 
 
 def resolve_duration(spec: PulseSpec) -> tuple[PulseSpec, float]:
@@ -243,7 +235,7 @@ def run_sequence(
                     f"{leakage_limit:.3e}; increase the truncation"
                 )
         elif isinstance(step, Rotate):
-            state = apply_operator(carrier_rotation(step.spec, trunc), state)
+            state = apply_rotation(state, step.spec)
         elif isinstance(step, MeasureQubit):
             outcome = outcome_override or step.outcome
             p_g, p_e = state.qubit_populations()

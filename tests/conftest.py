@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from noonsim import (
     MeasureQubit,
     Prepare,
@@ -54,3 +56,33 @@ def random_program(rng: random.Random) -> Program:
         else:
             steps.append(MeasureQubit(rng.choice("ge")))
     return Program(trunc, tuple(steps))
+
+
+DENSE_BUILDERS = (
+    "sideband_hamiltonian",
+    "closed_form_unitary",
+    "expm_oracle",
+    "carrier_rotation",
+    "apply_operator",
+    "_embed_qubit_axis",
+)
+
+
+@pytest.fixture
+def no_dense_operators(monkeypatch):
+    """Make every dense dim x dim builder raise, wherever noonsim holds it.
+
+    At n_max = 96 one dense operator takes about 5.7 GB, so a regression
+    that puts one back on the runtime path fails here instead of exhausting
+    memory.
+    """
+    import noonsim
+    from noonsim import cli, dynamics, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator built on the runtime path")
+
+    for module in (noonsim, dynamics, protocol, cli):
+        for name in DENSE_BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)

@@ -54,6 +54,14 @@ class TestRun:
         assert doc["error"] == "parse"
         assert doc["line"] == 2
 
+    def test_non_finite_number_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pp"
+        bad.write_text("prepare q=e nx=0 ny=0\nrotate theta=nan phi=0\n")
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 2, 8)
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.pp"))
         assert code == 4
@@ -112,6 +120,16 @@ class TestScan:
         )
         assert code == 3
         assert json.loads(err)["error"] == "physics"
+
+    def test_full_form_scan_builds_no_dense_operator(self, capsys, tmp_path, no_dense_operators):
+        prog = tmp_path / "full.pp"
+        prog.write_text(NOON8_PP.read_text().replace("form=closed", "form=full"))
+        code, out, _ = run_cli(
+            capsys, "scan", str(prog),
+            "--step", "5", "--t-min", "0", "--t-max", "0.7", "--samples", "16",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 17
 
     def test_step_out_of_range(self, capsys):
         code, _, _ = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,17 +8,23 @@ from noonsim import (
     PhysicsError,
     PulseSpec,
     RotationSpec,
+    SidebandPulse,
     Truncation,
     apply_operator,
     apply_pulse,
+    apply_rotation,
     basis_state,
+    build_noon8,
     carrier_rotation,
     closed_form_unitary,
     coupling_g,
     expm_oracle,
     fidelity,
+    noon_fidelity,
+    run_sequence,
     sideband_hamiltonian,
 )
+from noonsim.dynamics import guard_band_population
 from noonsim.fock import QUBIT_INDEX, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
 
@@ -26,6 +33,13 @@ TRUNC = Truncation(12, 12, 4)
 
 def closed_spec(axis="x", eta=0.2, omega=15000.0, t=0.0):
     return PulseSpec(axis, 4, eta, omega, t, "closed")
+
+
+def random_state(rng, trunc):
+    """Normalized state with support on every amplitude, guard band included."""
+    shape = (2, trunc.dim_x, trunc.dim_y)
+    amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return HybridState(amp / np.linalg.norm(amp), trunc)
 
 
 class TestCouplingG:
@@ -251,3 +265,84 @@ class TestOracleEquivalence:
             u_full = expm_oracle(h, t)
             f = abs(np.vdot(u_closed @ state.ravel(), u_full @ state.ravel())) ** 2
             assert f >= 1 - 5 * eta**2
+
+
+class TestPairRotationKernel:
+    """The runtime propagators against the dense reference builders."""
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_full_form_matches_expm_oracle(self, k, axis):
+        # n_max_x != n_max_y, so applying the pulse to the wrong axis shows
+        trunc = Truncation(7, 10, k)
+        rng = np.random.default_rng(100 + k)
+        for _ in range(3):
+            spec = PulseSpec(axis, k, rng.uniform(0.05, 0.6), rng.uniform(1.0, 50.0),
+                             rng.uniform(0.0, 3.0), "full")
+            state = random_state(rng, trunc)
+            out, leakage = apply_pulse(state, spec)
+            u = expm_oracle(sideband_hamiltonian(spec, trunc), spec.duration)
+            ref = apply_operator(u, state)
+            assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
+            assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_closed_form_matches_closed_form_unitary(self, axis):
+        trunc = Truncation(9, 13, 4)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            spec = closed_spec(axis, omega=rng.uniform(1e3, 3e4), t=rng.uniform(0.0, 2.0))
+            state = random_state(rng, trunc)
+            out, _ = apply_pulse(state, spec)
+            ref = apply_operator(
+                closed_form_unitary(coupling_g(spec), spec.duration, trunc, axis), state
+            )
+            assert np.max(np.abs(out.amp - ref.amp)) <= 1e-13
+
+    def test_rotation_matches_dense_carrier(self):
+        trunc = Truncation(5, 8, 2)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            spec = RotationSpec(rng.uniform(-7, 7), rng.uniform(-7, 7))
+            state = random_state(rng, trunc)
+            ref = apply_operator(carrier_rotation(spec, trunc), state)
+            assert np.max(np.abs(apply_rotation(state, spec).amp - ref.amp)) <= 1e-14
+
+    def test_guard_check_applies_to_the_kernel(self):
+        with pytest.raises(PhysicsError):
+            apply_pulse(basis_state("e", 0, 0, Truncation(12, 12, 2)), closed_spec())
+
+    @pytest.mark.parametrize("form", ["closed", "full"])
+    def test_noon8_at_nmax_96_matches_nmax_24(self, form, no_dense_operators):
+        # one dense operator at n_max = 96 would take about 5.7 GB
+        steps = build_noon8(1.0, 1.0, 1000)
+        steps = [
+            SidebandPulse(dataclasses.replace(s.spec, form=form))
+            if isinstance(s, SidebandPulse) else s
+            for s in steps
+        ]
+        for outcome in ("g", "e"):
+            small = run_sequence(steps, Truncation(24, 24, 4), outcome_override=outcome)
+            large = run_sequence(steps, Truncation(96, 96, 4), outcome_override=outcome)
+            f_small = noon_fidelity(small.final_state, 8).best_fidelity
+            f_large = noon_fidelity(large.final_state, 8).best_fidelity
+            assert f_small >= 0.999
+            assert f_large == pytest.approx(f_small, abs=1e-12)
+            assert large.postselect_probability == pytest.approx(
+                small.postselect_probability, abs=1e-12
+            )
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", ["eta", "omega", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pulse_spec(self, field, value):
+        spec = closed_spec(t=0.1)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(spec, **{field: value})
+
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rotation_spec(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(RotationSpec(1.0, 0.5), **{field: value})

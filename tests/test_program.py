@@ -117,6 +117,25 @@ class TestParseErrors:
             parse("prepare q=e nx=zero ny=0\n")
         assert "zero" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("pulse axis=x k=4 eta={} omega=1.0 t=0.5 form=closed", "eta"),
+            ("pulse axis=x k=4 eta=0.2 omega={} t=0.5 form=closed", "omega"),
+            ("pulse axis=x k=4 eta=0.2 omega=1.0 t={} form=closed", "t"),
+            ("rotate theta={} phi=0.5", "theta"),
+            ("rotate theta=pi phi={}", "phi"),
+        ],
+    )
+    def test_non_finite_number_names_line_and_column(self, line, key, text):
+        line = line.format(text)
+        with pytest.raises(ParseError) as err:
+            parse("prepare q=e nx=0 ny=0\n" + line + "\n")
+        assert err.value.line == 2
+        assert err.value.col == line.index(f" {key}=") + 2
+        assert "non-finite" in str(err.value)
+
     def test_totality_on_garbage(self):
         rng = random.Random(99)
         alphabet = "abcxyz=()/#0123456789_. \tpulse"

@@ -14,6 +14,7 @@ from noonsim import (
     SuperpositionPi,
     Truncation,
     VacuumPi,
+    apply_pulse,
     build_noon8,
     noon_fidelity,
     noon_target,
@@ -22,7 +23,7 @@ from noonsim import (
     vacuum_pulse_time,
 )
 from noonsim.fock import HybridState, basis_state
-from noonsim.protocol import mode_amplitudes
+from noonsim.protocol import mode_amplitudes, resolve_duration
 
 TRUNC = Truncation(12, 12, 4)
 SQRT24 = math.sqrt(24.0)
@@ -76,6 +77,18 @@ class TestSuperpositionPulseTime:
             superposition_pulse_time(-1.0, 10)
         with pytest.raises(ValueError):
             superposition_pulse_time(1.0, 0)
+
+
+class TestResolveDuration:
+    def test_super_pi_for_k2_full_pulse_transfers_as_predicted(self):
+        # the pulse must drive |g,2> -> |e,0> and its partner |e,2> -> |g,4>
+        spec = PulseSpec("x", 2, 0.2, 15000.0, SuperpositionPi(1000), "full")
+        resolved, infid = resolve_duration(spec)
+        out, _ = apply_pulse(basis_state("e", 2, 0, TRUNC), resolved)
+        assert out.population("g", 4, 0) == pytest.approx(1.0 - infid, abs=1e-12)
+        assert infid <= 1e-3
+        out, _ = apply_pulse(basis_state("g", 2, 0, TRUNC), resolved)
+        assert out.population("e", 0, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRunSequence:
