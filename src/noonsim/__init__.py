@@ -14,7 +14,8 @@ The package is organized in four layers:
   four-phonon unitary, eigendecomposition matrix exponential, dense carrier
   rotation) are kept as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
-  (exact for the vacuum pulse, grid-searched for the superposition pulse),
+  (exact for the vacuum pulse; for the superposition pulse an exact
+  best-approximation search whose cost grows as the log of its horizon),
   measurement post-selection and NOON fidelity scoring.
 - :mod:`noonsim.program` / :mod:`noonsim.cli` -- the pulse-program text
   format, parser/serializer, and the ``run`` / ``scan`` command line.

@@ -1,7 +1,9 @@
 """Command line: run a pulse program, or scan one pulse's duration.
 
-Exit codes: 0 success, 2 parse error, 3 physics/guard error, 4 I/O error.
-Errors go to stderr as one JSON object so callers can machine-read them.
+Exit codes: 0 success, 2 parse or usage error, 3 physics/guard error, 4 I/O
+error.  Errors go to stderr as one JSON object so callers can machine-read
+them; a usage error (a bad or missing flag) is argparse's message naming
+the flag.
 """
 
 from __future__ import annotations
@@ -119,8 +121,6 @@ def cmd_scan(args) -> int:
     target = program.steps[args.step]
     if not isinstance(target, SidebandPulse):
         raise PhysicsError(f"step {args.step} is not a sideband pulse")
-    if args.samples < 1:
-        raise PhysicsError("samples must be >= 1")
 
     # evolve up to (not including) the scanned pulse
     prefix = list(program.steps[: args.step])
@@ -163,6 +163,26 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="noonsim", description="Trapped-ion NOON-state pulse-program simulator"
@@ -176,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-states", action="store_true",
                      help="include per-step state amplitudes in the output")
     run.add_argument("--out", default=None, help="output file (default stdout)")
-    run.add_argument("--format", choices=["json"], default="json")
     run.add_argument("--noon-n", type=int, default=8, dest="noon_n",
                      help="NOON order scored in the diagnostics")
     run.set_defaults(func=cmd_run)
@@ -185,11 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("program", help="pulse-program file (.pp)")
     scan.add_argument("--step", type=int, required=True,
                       help="index of the sideband-pulse step to scan")
-    scan.add_argument("--t-min", type=float, required=True, dest="t_min")
-    scan.add_argument("--t-max", type=float, required=True, dest="t_max")
-    scan.add_argument("--samples", type=int, default=200)
+    scan.add_argument("--t-min", type=_finite_float, required=True, dest="t_min")
+    scan.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
+    scan.add_argument("--samples", type=_positive_int, default=200)
     scan.add_argument("--out", default=None, help="output file (default stdout)")
-    scan.add_argument("--format", choices=["csv"], default="csv")
     scan.add_argument("--noon-n", type=int, default=None, dest="noon_n",
                       help="also emit NOON fidelity of this order per sample")
     scan.set_defaults(func=cmd_scan)

@@ -175,16 +175,45 @@ def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     return _embed_qubit_axis(h, spec.axis, trunc)
 
 
+def sideband_elements(count: int, k: int, eta: float, omega: float) -> np.ndarray:
+    """``sideband_element(n, k, eta, omega)`` for n = 0 .. count-1, in one sweep.
+
+    One pass of the Laguerre recurrence in n gives every L_n^(k)(eta^2);
+    the arithmetic per n is that of ``sideband_element``, so the values are
+    bit-identical to it.
+    """
+    x = eta * eta
+    scale = omega * math.exp(-x / 2.0) * eta**k
+    out = []
+    l_prev, l_cur = 0.0, 1.0  # L_{n-1}, L_n, starting at n = 0
+    for n in range(count):
+        if n == 1:
+            l_prev, l_cur = l_cur, k + 1.0 - x
+        elif n > 1:
+            m = n - 1
+            l_prev, l_cur = l_cur, ((2 * m + k + 1 - x) * l_cur - (m + k) * l_prev) / (m + 1)
+        lg_fact = math.lgamma(n + 1) - math.lgamma(n + k + 1)
+        out.append(scale * l_cur * math.exp(0.5 * lg_fact))
+    return np.array(out)
+
+
+def closed_form_frequencies(g: float, n) -> np.ndarray:
+    """Four-phonon Rabi frequencies g sqrt((n+4)(n+3)(n+2)(n+1)) in the Lamb-Dicke limit."""
+    n = np.asarray(n, dtype=float)
+    return g * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
+
+
 def rabi_frequencies(spec: PulseSpec, n) -> np.ndarray:
     """Rabi frequency Omega_n of each pair (|e, n>, |g, n+k>) the pulse couples.
 
-    ``form="closed"`` gives g sqrt((n+4)(n+3)(n+2)(n+1)) (k = 4 only);
-    ``form="full"`` gives ``sideband_element(n, k, eta, omega)``.
+    ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), n)``
+    (k = 4 only); ``form="full"`` gives ``sideband_element(n, k, eta, omega)``.
     """
-    n = np.asarray(n, dtype=float)
     if spec.form == "closed":
-        return coupling_g(spec) * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
-    return np.array([sideband_element(int(m), spec.k, spec.eta, spec.omega) for m in n])
+        return closed_form_frequencies(coupling_g(spec), n)
+    n = np.asarray(n, dtype=int)
+    count = int(n.max(initial=-1)) + 1
+    return sideband_elements(count, spec.k, spec.eta, spec.omega)[n]
 
 
 def _four_phonon_freq(n: int) -> float:

@@ -9,9 +9,12 @@ durations matter:
 - the superposition pulse, which must simultaneously drive |g,4> -> |e,0>
   (frequency sqrt(24) g) and |e,4> -> |g,8> (frequency sqrt(1680) g).
   The frequency ratio sqrt(70) is irrational, so no duration serves both
-  exactly; we search the grid t = (2m + 3/2) pi / (sqrt(24) g), which is
-  exact for the first transition, and pick the candidate that best hits
-  the second.  The residual is reported, not hidden.
+  exactly.  Of the candidates t_m = (2m + 3/2) pi / (sqrt(24) g),
+  m = 0..M, which are exact for the first transition, we take the one that
+  best hits the second.  An exact best-approximation search on the
+  rational ratio of the two frequencies finds it in O(log M) integer steps
+  with no O(M) array (``solve_duration``).  The residual is reported, not
+  hidden.
 """
 
 from __future__ import annotations
@@ -38,11 +41,9 @@ from .dynamics import (
     RotationSpec,
     apply_pulse,
     apply_rotation,
+    closed_form_frequencies,
     rabi_frequencies,
 )
-
-SQRT24 = math.sqrt(24.0)
-SQRT1680 = math.sqrt(1680.0)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,12 @@ class VacuumPi:
 
 @dataclass(frozen=True)
 class SuperpositionPi:
-    """Grid-searched duration for the simultaneous |g,4>/|e,4> transfer."""
+    """Best duration within the horizon for the simultaneous |g,k>/|e,k> transfer.
+
+    Chosen among the ``horizon + 1`` candidates t_m = (2m + 3/2) pi / w_vac,
+    m = 0..horizon, by an exact search whose cost grows as log(horizon)
+    (``solve_duration``).
+    """
 
     horizon: int = 1000
 
@@ -114,29 +120,103 @@ class RunResult:
         return p
 
 
-def vacuum_pulse_time(g: float) -> float:
-    """Smallest t > 0 with full |e,0> -> |g,4> transfer."""
+def solve_duration(
+    marker: VacuumPi | SuperpositionPi, w_vac: float, w_super: float
+) -> tuple[float, float]:
+    """Duration of an auto marker from the two Rabi frequencies of its pulse.
+
+    ``w_vac`` drives |e,0> <-> |g,k> and ``w_super`` its partner
+    |e,k> <-> |g,2k>.  Returns (t, predicted infidelity of the timing
+    choice).  ``VacuumPi`` gives the exact pi / (2 w_vac).
+    ``SuperpositionPi(M)`` gives the candidate t_m = (2m + 3/2) pi / w_vac,
+    m = 0..M, that maximizes sin^2(w_super t_m), the smallest m among ties;
+    each candidate has sin^2(w_vac t_m) = 1, so the infidelity is
+    1 - sin^2(w_super t).
+    """
+    if not (math.isfinite(w_vac) and math.isfinite(w_super)):
+        raise ValueError(f"Rabi frequencies must be finite, got {w_vac!r} and {w_super!r}")
+    if w_vac <= 0:
+        raise ValueError("pulse has zero coupling; cannot solve a duration")
+    if isinstance(marker, VacuumPi):
+        return math.pi / (2.0 * w_vac), 0.0
+    if isinstance(marker, SuperpositionPi):
+        m = _best_candidate(w_vac, w_super, marker.horizon)
+        t = (2.0 * m + 1.5) * math.pi / w_vac
+        s = float(np.sin(w_super * t))
+        return t, 1.0 - s * s
+    raise ValueError(f"unknown duration marker {marker!r}")
+
+
+def _best_candidate(w_vac: float, w_super: float, horizon: int) -> int:
+    """Smallest m in [0, horizon] that maximizes sin^2(w_super t_m).
+
+    With r = w_super / w_vac, sin^2(w_super t_m) = cos^2(pi D_m), where D_m
+    is the distance of 2 r m + (3r - 1)/2 to the nearest integer.  Taking r
+    as the exact rational p / q of the two floats makes this integer
+    arithmetic: D_m = min(v_m, c - v_m) / c with v_m = (a m + b) mod c,
+    c = 2q, a = 4p, b = 3p - q.  The search walks the records, the m where
+    D_m drops below every earlier value; the next record is the first m
+    after the current one whose v_m lies within the current distance of 0,
+    which ``_first_at_most`` finds in O(log c) steps.  It stops at the first
+    record beyond the horizon, so no O(horizon) work or memory is needed.
+    """
+    p_super, q_super = w_super.as_integer_ratio()
+    p_vac, q_vac = w_vac.as_integer_ratio()
+    p, q = p_super * q_vac, q_super * p_vac
+    common = math.gcd(p, q)
+    p, q = p // common, q // common
+    c = 2 * q
+    a, b = 4 * p % c, (3 * p - q) % c
+    m, v = 0, b
+    dist = min(v, c - v)
+    while dist > 0:
+        # min(v, c - v) < dist  <=>  (v + dist - 1) mod c <= 2 dist - 2
+        step = _first_at_most(a, (a * (m + 1) + b + dist - 1) % c, c, 2 * dist - 2)
+        if step is None or m + 1 + step > horizon:
+            break
+        m += 1 + step
+        v = (a * m + b) % c
+        dist = min(v, c - v)
+    return m
+
+
+def _first_at_most(a: int, b: int, c: int, w: int) -> int | None:
+    """Smallest x >= 0 with (a x + b) mod c <= w, or None if there is none.
+
+    Requires 0 <= a, b, w < c.  Until a x + b first reaches c the value
+    only grows from b, so either b <= w or the answer lies past a wrap.  If
+    the window is at least a wide, the first wrap lands in it.  Otherwise
+    the y-th wrap (y >= 1) lands in it iff a multiple of a lies in
+    [c y - b, c y - b + w], which is the same question for (c mod a, a):
+    a Euclid step, so the recursion depth is O(log c).
+    """
+    if b <= w:
+        return 0
+    if a == 0:
+        return None
+    if w + 1 >= a:
+        return -(-(c - b) // a)
+    y = _first_at_most(c % a, (c + w - b) % a, a, w)
+    if y is None:
+        return None
+    return -(-(c * (y + 1) - b) // a)
+
+
+def _closed_form_pair(g: float) -> tuple[float, float]:
+    """(w_vac, w_super) of a closed-form four-phonon pulse with coupling g."""
     if g <= 0:
         raise ValueError("coupling g must be positive")
-    return math.pi / (2.0 * SQRT24 * g)
+    w_vac, w_super = closed_form_frequencies(g, [0, 4]).tolist()
+    return w_vac, w_super
 
 
-def _grid_search_time(w_vac: float, w_super: float, horizon: int) -> tuple[float, float]:
-    """Best simultaneous transfer for two Rabi frequencies.
-
-    Candidates t_m = (2m + 3/2) pi / w_vac, m = 0..horizon, satisfy
-    sin^2(w_vac t) = 1 exactly; the returned duration maximizes
-    sin^2(w_super t).  Returns (t, 1 - min of the two sin^2 values).
-    """
-    m = np.arange(horizon + 1)
-    t = (2.0 * m + 1.5) * math.pi / w_vac
-    obj = np.sin(w_super * t) ** 2
-    best = int(np.argmax(obj))
-    return float(t[best]), float(1.0 - obj[best])
+def vacuum_pulse_time(g: float) -> float:
+    """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g)."""
+    return solve_duration(VacuumPi(), *_closed_form_pair(g))[0]
 
 
 def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
-    """Search the sqrt(24)-resonance grid for the best simultaneous transfer.
+    """Best simultaneous transfer within the horizon for a closed-form pulse.
 
     The pulse must drive |g,4> -> |e,0> (frequency sqrt(24) g) and
     |e,4> -> |g,8> (frequency sqrt(1680) g) at once; the frequency ratio
@@ -144,44 +224,24 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     first transition and as close as the horizon allows for the second.
     Returns (t, predicted_infidelity).
     """
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return _grid_search_time(SQRT24 * g, SQRT1680 * g, horizon)
-
-
-def _pulse_frequencies(spec: PulseSpec) -> tuple[float, float]:
-    """Rabi frequencies of the |e,0><->|g,k> and |e,k><->|g,2k> transitions.
-
-    They come from the same frequency table the pulse is propagated with:
-    for the closed form sqrt(24) g and sqrt(1680) g; for the full
-    Hamiltonian with the exp(-eta^2/2) and Laguerre corrections, since the
-    pulse times must be solved from the dynamics actually applied or the
-    O(eta^2) frequency shifts accumulate over the long superposition pulse.
-    """
-    w_vac, w_super = rabi_frequencies(spec, [0, spec.k]).tolist()
-    return w_vac, w_super
+    return solve_duration(SuperpositionPi(horizon), *_closed_form_pair(g))
 
 
 def resolve_duration(spec: PulseSpec) -> tuple[PulseSpec, float]:
     """Replace a symbolic duration by its numeric value.
 
-    Returns (resolved spec, predicted infidelity of the timing choice);
-    the latter is 0 for exact durations.
+    The two frequencies come from the table the pulse is propagated with,
+    ``rabi_frequencies`` at n = 0 and n = k: for the full Hamiltonian they
+    carry the exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts
+    would otherwise accumulate over the long superposition pulse.  Returns
+    (resolved spec, predicted infidelity of the timing choice); the latter
+    is 0 for exact durations.
     """
     d = spec.duration
     if isinstance(d, (int, float)):
         return spec, 0.0
-    w_vac, w_super = _pulse_frequencies(spec)
-    if w_vac <= 0:
-        raise ValueError("pulse has zero coupling; cannot solve a duration")
-    if isinstance(d, VacuumPi):
-        t, infid = math.pi / (2.0 * w_vac), 0.0
-    elif isinstance(d, SuperpositionPi):
-        t, infid = _grid_search_time(w_vac, w_super, d.horizon)
-    else:
-        raise ValueError(f"unknown duration marker {d!r}")
+    w_vac, w_super = rabi_frequencies(spec, [0, spec.k]).tolist()
+    t, infid = solve_duration(d, w_vac, w_super)
     return PulseSpec(spec.axis, spec.k, spec.eta, spec.omega, t, spec.form), infid
 
 

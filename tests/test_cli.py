@@ -131,6 +131,28 @@ class TestScan:
         assert code == 0
         assert len(out.strip().splitlines()) == 17
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--t-min", "-inf"),
+            ("--t-max", "inf"),
+            ("--t-max", "nan"),
+            ("--t-max", "1e999"),
+            ("--t-max", "abc"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--samples", "2.5"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error_naming_it(self, capsys, flag, value):
+        argv = {"--t-min": "0", "--t-max": "0.7", "--samples": "4"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", str(NOON8_PP), "--step", "1"]
+                 + [f"{name}={text}" for name, text in argv.items()])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_step_out_of_range(self, capsys):
         code, _, _ = run_cli(
             capsys, "scan", str(NOON8_PP),

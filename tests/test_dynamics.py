@@ -24,7 +24,7 @@ from noonsim import (
     run_sequence,
     sideband_hamiltonian,
 )
-from noonsim.dynamics import guard_band_population
+from noonsim.dynamics import guard_band_population, rabi_frequencies, sideband_element
 from noonsim.fock import QUBIT_INDEX, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
 
@@ -85,6 +85,23 @@ class TestSidebandHamiltonian:
     def test_guard_too_small(self):
         with pytest.raises(PhysicsError):
             sideband_hamiltonian(closed_spec(), Truncation(12, 12, 2))
+
+
+class TestRabiFrequencies:
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("eta", [0.05, 0.2, 0.4])
+    def test_full_table_matches_sideband_element(self, k, eta):
+        n = np.arange(97)
+        table = rabi_frequencies(PulseSpec("x", k, eta, 15000.0, 0.0, "full"), n)
+        ref = np.array([sideband_element(m, k, eta, 15000.0) for m in n])
+        np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
+
+    def test_full_table_at_chosen_levels(self):
+        spec = PulseSpec("x", 3, 0.2, 15000.0, 0.0, "full")
+        levels = [5, 0, 3, 3]
+        full = rabi_frequencies(spec, np.arange(6))
+        assert np.array_equal(rabi_frequencies(spec, levels), full[levels])
+        assert rabi_frequencies(spec, []).shape == (0,)
 
 
 class TestClosedFormUnitary:

@@ -1,7 +1,10 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from noonsim import (
     MeasureQubit,
@@ -23,7 +26,8 @@ from noonsim import (
     vacuum_pulse_time,
 )
 from noonsim.fock import HybridState, basis_state
-from noonsim.protocol import mode_amplitudes, resolve_duration
+from noonsim.dynamics import rabi_frequencies
+from noonsim.protocol import mode_amplitudes, resolve_duration, solve_duration
 
 TRUNC = Truncation(12, 12, 4)
 SQRT24 = math.sqrt(24.0)
@@ -77,6 +81,117 @@ class TestSuperpositionPulseTime:
             superposition_pulse_time(-1.0, 10)
         with pytest.raises(ValueError):
             superposition_pulse_time(1.0, 0)
+
+
+def grid_candidates(w_vac, w_super, horizon):
+    """Every candidate of the superposition search, evaluated in numpy.
+
+    t_m = (2m + 3/2) pi / w_vac for m = 0..horizon; returns (t, sin^2(w_super t)).
+    """
+    m = np.arange(horizon + 1)
+    t = (2.0 * m + 1.5) * math.pi / w_vac
+    return t, np.sin(w_super * t) ** 2
+
+
+def grid_oracle(w_vac, w_super, horizon):
+    """The grid search that the exact solver replaced, kept as its oracle."""
+    t, transfer = grid_candidates(w_vac, w_super, horizon)
+    best = int(np.argmax(transfer))
+    return float(t[best]), float(1.0 - transfer[best])
+
+
+def solve_super(w_vac, w_super, horizon):
+    return solve_duration(SuperpositionPi(horizon), w_vac, w_super)
+
+
+def _closed_pair(g):
+    return SQRT24 * g, SQRT1680 * g
+
+
+def _full_pair(k, eta):
+    spec = PulseSpec("x", k, eta, 15000.0, 0.0, "full")
+    w_vac, w_super = rabi_frequencies(spec, [0, k]).tolist()
+    return w_vac, w_super
+
+
+FREQUENCY_PAIRS = [
+    pytest.param(*_closed_pair(g), id=f"closed-g{g}") for g in (0.3, 0.5, 1.0, 1.7, 2.3, 7.9)
+] + [
+    pytest.param(*_full_pair(k, eta), id=f"full-k{k}-eta{eta}")
+    for k in range(1, 7)
+    for eta in (0.05, 0.2, 0.4)
+]
+
+
+class TestExactSuperpositionSolver:
+    @pytest.mark.parametrize("w_vac, w_super", FREQUENCY_PAIRS)
+    def test_matches_grid_at_every_record_horizon(self, w_vac, w_super):
+        # a record is an m whose candidate beats every earlier one; at each
+        # record horizon and one below it the oracle's answer changes
+        t, transfer = grid_candidates(w_vac, w_super, 10**5)
+        best_so_far = np.maximum.accumulate(transfer)
+        records = np.flatnonzero(np.r_[True, transfer[1:] > best_so_far[:-1]])
+        assert len(records) >= 8
+        for previous, record in zip(np.r_[0, records[:-1]], records):
+            for horizon, best in ((record, record), (record - 1, previous)):
+                if horizon >= 1:
+                    expected = (float(t[best]), float(1.0 - transfer[best]))
+                    assert solve_super(w_vac, w_super, int(horizon)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w_vac=st.floats(1e-2, 1e3),
+        n=st.integers(1, 10**4),
+        d=st.integers(1, 100),
+        horizons=st.tuples(st.integers(1, 5000), st.integers(1, 5000)).map(sorted),
+    )
+    def test_matches_grid_for_random_ratios(self, w_vac, n, d, horizons):
+        # ratio sqrt(n / d), irrational as the sideband ratios sqrt(C(2k, k))
+        # are: at a rational ratio with a small denominator candidates tie
+        # exactly, and the grid breaks the tie by float rounding
+        assume(math.isqrt(n * d) ** 2 != n * d)
+        w_super = w_vac * math.sqrt(n / d)
+        small, large = horizons
+        t_small, infid_small = solve_super(w_vac, w_super, small)
+        assert (t_small, infid_small) == grid_oracle(w_vac, w_super, small)
+        _, infid_large = solve_super(w_vac, w_super, large)
+        assert infid_large <= infid_small
+
+    def test_matches_grid_at_horizon_1e6(self):
+        w_vac, w_super = _closed_pair(1.0)
+        assert superposition_pulse_time(1.0, 10**6) == grid_oracle(w_vac, w_super, 10**6)
+
+    def test_horizon_1e12_is_fast_and_small(self):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            superposition_pulse_time(1.0, 10**12)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
+        tracemalloc.start()
+        try:
+            t, _ = superposition_pulse_time(1.0, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        m = round((t * SQRT24 / math.pi - 1.5) / 2.0)
+        assert 10**6 < m <= 10**12
+        assert t == (2.0 * m + 1.5) * math.pi / SQRT24
+
+    def test_zero_partner_frequency_takes_the_first_candidate(self):
+        # sin^2(0 t) = 0 for every candidate: all tie, the first one wins
+        assert solve_super(2.0, 0.0, 10) == (1.5 * math.pi / 2.0, 1.0)
+
+    def test_negative_partner_frequency_acts_as_its_magnitude(self):
+        assert solve_super(1.0, -SQRT1680 / SQRT24, 1000) == solve_super(
+            1.0, SQRT1680 / SQRT24, 1000
+        )
+
+    @pytest.mark.parametrize("w_vac, w_super", [(0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_bad_frequencies_rejected(self, w_vac, w_super):
+        with pytest.raises(ValueError):
+            solve_super(w_vac, w_super, 10)
 
 
 class TestResolveDuration:
