@@ -30,7 +30,6 @@ from .fock import (
     QUBIT_LABELS,
     laguerre_assoc,
     ladder,
-    number_op,
     sg_lower,
     lamb_dicke,
     embed,
@@ -74,7 +73,7 @@ from .program import Program, ParseError, parse, serialize
 __all__ = [
     "Truncation", "HybridState", "ModeOperator", "LambDickeInput",
     "QUBIT_INDEX", "QUBIT_LABELS",
-    "laguerre_assoc", "ladder", "number_op", "sg_lower", "lamb_dicke",
+    "laguerre_assoc", "ladder", "sg_lower", "lamb_dicke",
     "embed", "basis_state", "inner", "norm", "fidelity",
     "PulseSpec", "RotationSpec", "PhysicsError",
     "coupling_g", "sideband_hamiltonian", "closed_form_unitary",

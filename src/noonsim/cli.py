@@ -2,18 +2,19 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 physics/guard error, 4 I/O
 error.  Errors go to stderr as one JSON object so callers can machine-read
-them; a usage error (a bad or missing flag) is argparse's message naming
-the flag.
+them; a usage error (a bad or missing flag) is ``{"error": "usage"}`` with
+argparse's message naming the flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
-from .dynamics import PhysicsError, PulseSpec, apply_pulse
+from .dynamics import PhysicsError, apply_pulse
 from .fock import QUBIT_LABELS
 from .program import ParseError, Program, parse, serialize
 from .protocol import (
@@ -133,19 +134,11 @@ def cmd_scan(args) -> int:
         dt = (args.t_max - args.t_min) / (args.samples - 1)
         ts = [args.t_min + i * dt for i in range(args.samples)]
 
-    spec = target.spec
-    header = "t,p_e,p_g,leakage"
-    if args.noon_n is not None:
-        header += ",noon_best_fidelity"
-    lines = [header]
+    lines = ["t,p_e,p_g,leakage"]
     for t in ts:
-        timed = PulseSpec(spec.axis, spec.k, spec.eta, spec.omega, t, spec.form)
-        state, leakage = apply_pulse(base, timed)
+        state, leakage = apply_pulse(base, dataclasses.replace(target.spec, duration=t))
         p_g, p_e = state.qubit_populations()
-        row = f"{t!r},{p_e!r},{p_g!r},{leakage!r}"
-        if args.noon_n is not None:
-            row += f",{noon_fidelity(state, args.noon_n).best_fidelity!r}"
-        lines.append(row)
+        lines.append(f"{t!r},{p_e!r},{p_g!r},{leakage!r}")
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -183,8 +176,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON line on stderr, then exits 2."""
+
+    def error(self, message: str):
+        _emit_error("usage", message)
+        sys.exit(EXIT_PARSE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="noonsim", description="Trapped-ion NOON-state pulse-program simulator"
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -208,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
     scan.add_argument("--samples", type=_positive_int, default=200)
     scan.add_argument("--out", default=None, help="output file (default stdout)")
-    scan.add_argument("--noon-n", type=int, default=None, dest="noon_n",
-                      help="also emit NOON fidelity of this order per sample")
     scan.set_defaults(func=cmd_scan)
     return p
 

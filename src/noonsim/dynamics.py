@@ -4,8 +4,8 @@ The k-th sideband couples |g, n+k> to |e, n> with matrix element
 
     Omega_n = Omega * exp(-eta^2/2) * eta^k * L_n^(k)(eta^2) * sqrt(n! / (n+k)!)
 
-For k = 4 and eta << 1 this reduces to g * sqrt((n+4)(n+3)(n+2)(n+1)) with
-g = Omega * eta^4 / 24.  Either way the Hamiltonian only couples the pairs
+To leading order in eta this is the closed form g_k * sqrt((n+k)! / n!) with
+g_k = Omega * eta^k / k!.  Either way the Hamiltonian only couples the pairs
 (|e, n>, |g, n+k>) of the driven mode, so e^{-iHt} is a direct sum of 2x2
 rotations: cos(Omega_n t) on the diagonal, -i sin(Omega_n t) off it.  The
 two pulse forms differ only in their table of frequencies Omega_n
@@ -58,9 +58,9 @@ class PulseSpec:
     The trap frequencies and detuning enter only through sideband
     selection (delta = k * nu of the driven axis); they are not simulated.
     ``duration`` is seconds, or a symbolic auto marker resolved by the
-    protocol engine.  ``form`` selects the closed-form propagator
-    ("closed", k = 4 only) or exponentiation of the full sideband
-    Hamiltonian ("full").
+    protocol engine.  ``form`` selects the table of Rabi frequencies the
+    pulse is propagated with: the leading Lamb-Dicke order ("closed") or
+    the full sideband matrix elements ("full"); see ``rabi_frequencies``.
     """
 
     axis: str
@@ -84,8 +84,6 @@ class PulseSpec:
             raise ValueError("omega must be >= 0")
         if self.form not in ("closed", "full"):
             raise ValueError(f"form must be 'closed' or 'full', got {self.form!r}")
-        if self.form == "closed" and self.k != 4:
-            raise ValueError("closed form is only available for k = 4")
         if self.eta >= 1:
             warnings.warn(
                 f"eta = {self.eta} is outside the Lamb-Dicke regime (eta < 1)",
@@ -111,10 +109,8 @@ def _require_finite(**values: float) -> None:
 
 
 def coupling_g(spec: PulseSpec) -> float:
-    """Effective four-phonon coupling g = Omega * eta^4 / 4!."""
-    if spec.k != 4:
-        raise PhysicsError(f"coupling_g is defined for k = 4 pulses, got k = {spec.k}")
-    return spec.omega * spec.eta**4 / 24.0
+    """Effective k-phonon coupling g_k = Omega * eta^k / k! of the closed form."""
+    return spec.omega * spec.eta**spec.k / math.factorial(spec.k)
 
 
 def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
@@ -197,27 +193,31 @@ def sideband_elements(count: int, k: int, eta: float, omega: float) -> np.ndarra
     return np.array(out)
 
 
-def closed_form_frequencies(g: float, n) -> np.ndarray:
-    """Four-phonon Rabi frequencies g sqrt((n+4)(n+3)(n+2)(n+1)) in the Lamb-Dicke limit."""
+def closed_form_frequencies(g: float, k: int, n) -> np.ndarray:
+    """k-phonon Rabi frequencies g sqrt((n+k)(n+k-1)...(n+1)) in the Lamb-Dicke limit.
+
+    The product is taken left to right from (n+k), so for k = 4 the values
+    are bit-identical to g * sqrt((n+4)(n+3)(n+2)(n+1)).
+    """
     n = np.asarray(n, dtype=float)
-    return g * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
+    prod = n + float(k)
+    for j in range(k - 1, 0, -1):
+        prod = prod * (n + float(j))
+    return g * np.sqrt(prod)
 
 
 def rabi_frequencies(spec: PulseSpec, n) -> np.ndarray:
     """Rabi frequency Omega_n of each pair (|e, n>, |g, n+k>) the pulse couples.
 
-    ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), n)``
-    (k = 4 only); ``form="full"`` gives ``sideband_element(n, k, eta, omega)``.
+    ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), k, n)``,
+    the leading order in eta; ``form="full"`` gives
+    ``sideband_element(n, k, eta, omega)``.
     """
     if spec.form == "closed":
-        return closed_form_frequencies(coupling_g(spec), n)
+        return closed_form_frequencies(coupling_g(spec), spec.k, n)
     n = np.asarray(n, dtype=int)
     count = int(n.max(initial=-1)) + 1
     return sideband_elements(count, spec.k, spec.eta, spec.omega)[n]
-
-
-def _four_phonon_freq(n: int) -> float:
-    return math.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
 
 
 def closed_form_unitary(g: float, t: float, trunc: Truncation, axis: str) -> np.ndarray:
@@ -239,8 +239,9 @@ def closed_form_unitary(g: float, t: float, trunc: Truncation, axis: str) -> np.
     d = trunc.dim_of(axis)
     g_idx, e_idx = QUBIT_INDEX["g"], QUBIT_INDEX["e"]
     u = np.eye(2 * d, dtype=complex)
+    freq = closed_form_frequencies(1.0, 4, np.arange(d - 4))
     for n in range(d - 4):
-        phase = _four_phonon_freq(n) * g * t
+        phase = float(freq[n]) * g * t
         c, s = math.cos(phase), math.sin(phase)
         ie, ig = e_idx * d + n, g_idx * d + n + 4
         u[ie, ie] = c
@@ -287,14 +288,14 @@ def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
 def apply_rotation(state: HybridState, spec: RotationSpec) -> HybridState:
     """Apply the carrier rotation R(theta, phi) to the qubit axis."""
     amp = np.einsum("pq,qxy->pxy", _qubit_rotation(spec), state.amp)
-    return HybridState(amp, state.trunc, normalized=state.normalized)
+    return HybridState(amp, state.trunc)
 
 
-def apply_operator(u: np.ndarray, state: HybridState, normalized: bool = True) -> HybridState:
+def apply_operator(u: np.ndarray, state: HybridState) -> HybridState:
     if u.shape != (state.trunc.dim, state.trunc.dim):
         raise ValueError("operator dimension does not match state truncation")
     amp = (u @ state.ravel()).reshape(state.amp.shape)
-    return HybridState(amp, state.trunc, normalized=normalized and state.normalized)
+    return HybridState(amp, state.trunc)
 
 
 def guard_band_population(state: HybridState, axis: str) -> float:
@@ -341,5 +342,5 @@ def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float
     d = _driven_dim(spec, state.trunc)
     phase = rabi_frequencies(spec, np.arange(d - spec.k)) * float(t)
     amp = _rotate_pairs(state.amp, spec.axis, spec.k, phase)
-    out = HybridState(amp, state.trunc, normalized=state.normalized)
+    out = HybridState(amp, state.trunc)
     return out, guard_band_population(out, spec.axis)

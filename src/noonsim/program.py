@@ -173,13 +173,10 @@ def parse(text: str) -> Program:
                 _check_choice(axis, ("x", "y"), "axis", lineno, acol)
                 form, fcol = fields["form"]
                 _check_choice(form, ("closed", "full"), "form", lineno, fcol)
-                k = _parse_int(fields["k"][0], lineno, fields["k"][1])
-                if form == "closed" and k != 4:
-                    raise ParseError(f"closed form requires k=4, got k={k}", lineno, fcol)
                 try:
                     spec = PulseSpec(
                         axis,
-                        k,
+                        _parse_int(fields["k"][0], lineno, fields["k"][1]),
                         _parse_real(fields["eta"][0], lineno, fields["eta"][1]),
                         _parse_real(fields["omega"][0], lineno, fields["omega"][1]),
                         _parse_duration(fields["t"][0], lineno, fields["t"][1]),

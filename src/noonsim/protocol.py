@@ -21,20 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
-from .fock import (
-    QUBIT_INDEX,
-    QUBIT_LABELS,
-    HybridState,
-    Truncation,
-    basis_state,
-    fidelity,
-    norm,
-)
+from .fock import QUBIT_INDEX, HybridState, Truncation, basis_state
 from .dynamics import (
     PhysicsError,
     PulseSpec,
@@ -48,7 +40,7 @@ from .dynamics import (
 
 @dataclass(frozen=True)
 class VacuumPi:
-    """Exact four-phonon pi time from the vacuum: t = pi / (2 sqrt(24) g)."""
+    """Exact pi time from the vacuum, t = pi / (2 w_vac): moves |e,0> to |g,k>."""
 
 
 @dataclass(frozen=True)
@@ -202,17 +194,9 @@ def _first_at_most(a: int, b: int, c: int, w: int) -> int | None:
     return -(-(c * (y + 1) - b) // a)
 
 
-def _closed_form_pair(g: float) -> tuple[float, float]:
-    """(w_vac, w_super) of a closed-form four-phonon pulse with coupling g."""
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
-    w_vac, w_super = closed_form_frequencies(g, [0, 4]).tolist()
-    return w_vac, w_super
-
-
 def vacuum_pulse_time(g: float) -> float:
     """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g)."""
-    return solve_duration(VacuumPi(), *_closed_form_pair(g))[0]
+    return solve_duration(VacuumPi(), *closed_form_frequencies(g, 4, [0, 4]).tolist())[0]
 
 
 def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
@@ -224,7 +208,9 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     first transition and as close as the horizon allows for the second.
     Returns (t, predicted_infidelity).
     """
-    return solve_duration(SuperpositionPi(horizon), *_closed_form_pair(g))
+    return solve_duration(
+        SuperpositionPi(horizon), *closed_form_frequencies(g, 4, [0, 4]).tolist()
+    )
 
 
 def resolve_duration(spec: PulseSpec) -> tuple[PulseSpec, float]:
@@ -242,7 +228,7 @@ def resolve_duration(spec: PulseSpec) -> tuple[PulseSpec, float]:
         return spec, 0.0
     w_vac, w_super = rabi_frequencies(spec, [0, spec.k]).tolist()
     t, infid = solve_duration(d, w_vac, w_super)
-    return PulseSpec(spec.axis, spec.k, spec.eta, spec.omega, t, spec.form), infid
+    return replace(spec, duration=t), infid
 
 
 def _measure(state: HybridState, outcome: str) -> tuple[HybridState, float]:

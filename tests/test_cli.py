@@ -151,7 +151,11 @@ class TestScan:
             main(["scan", str(NOON8_PP), "--step", "1"]
                  + [f"{name}={text}" for name, text in argv.items()])
         assert exc.value.code == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["message"].startswith(f"argument {flag}:")
 
     def test_step_out_of_range(self, capsys):
         code, _, _ = run_cli(

@@ -18,14 +18,21 @@ from noonsim import (
     carrier_rotation,
     closed_form_unitary,
     coupling_g,
+    embed,
     expm_oracle,
     fidelity,
+    ladder,
     noon_fidelity,
     run_sequence,
     sideband_hamiltonian,
 )
-from noonsim.dynamics import guard_band_population, rabi_frequencies, sideband_element
-from noonsim.fock import QUBIT_INDEX, HybridState
+from noonsim.dynamics import (
+    closed_form_frequencies,
+    guard_band_population,
+    rabi_frequencies,
+    sideband_element,
+)
+from noonsim.fock import QUBIT_INDEX, HybridState, ModeOperator
 from noonsim.protocol import VacuumPi, resolve_duration
 
 TRUNC = Truncation(12, 12, 4)
@@ -56,10 +63,9 @@ class TestCouplingG:
     def test_zero_omega(self):
         assert coupling_g(closed_spec(omega=0.0)) == 0.0
 
-    def test_wrong_order(self):
-        spec = PulseSpec("x", 3, 0.2, 1.0, 0.0, "full")
-        with pytest.raises(PhysicsError):
-            coupling_g(spec)
+    def test_third_order(self):
+        spec = PulseSpec("x", 3, 0.2, 15000.0, 0.0, "closed")
+        assert coupling_g(spec) == 15000.0 * 0.2**3 / 6
 
 
 class TestSidebandHamiltonian:
@@ -95,6 +101,12 @@ class TestRabiFrequencies:
         table = rabi_frequencies(PulseSpec("x", k, eta, 15000.0, 0.0, "full"), n)
         ref = np.array([sideband_element(m, k, eta, 15000.0) for m in n])
         np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("g", [1.0, 6.666666666666667e-5, 0.7, 2.3])
+    def test_closed_table_at_k4_is_the_four_phonon_product(self, g):
+        n = np.arange(97, dtype=float)
+        old = g * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
+        assert np.array_equal(closed_form_frequencies(g, 4, n), old)
 
     def test_full_table_at_chosen_levels(self):
         spec = PulseSpec("x", 3, 0.2, 15000.0, 0.0, "full")
@@ -300,6 +312,32 @@ class TestPairRotationKernel:
             out, leakage = apply_pulse(state, spec)
             u = expm_oracle(sideband_hamiltonian(spec, trunc), spec.duration)
             ref = apply_operator(u, state)
+            assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
+            assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_matches_expm_oracle(self, k, axis):
+        # the closed form is exp(-i g_k (sigma_+ a^k + h.c.) t), built here
+        # from the ladder operator, independently of the frequency table
+        trunc = Truncation(7, 10, k)
+        d = trunc.dim_of(axis)
+        sigma_plus = np.zeros((2, 2), dtype=complex)
+        sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
+        a_k = np.linalg.matrix_power(ladder(d, "lower", axis).mat, k)
+        coupling = embed(ModeOperator(sigma_plus, "qubit"), trunc) @ embed(
+            ModeOperator(a_k, axis), trunc
+        )
+        top = math.sqrt(math.perm(d - 1, k))  # largest pair frequency at g = 1
+        rng = np.random.default_rng(200 + k)
+        for _ in range(3):
+            eta = rng.uniform(0.05, 0.6)
+            omega = rng.uniform(1.0, 10.0) / top * math.factorial(k) / eta**k
+            spec = PulseSpec(axis, k, eta, omega, rng.uniform(0.0, 3.0), "closed")
+            h = coupling_g(spec) * coupling
+            state = random_state(rng, trunc)
+            out, leakage = apply_pulse(state, spec)
+            ref = apply_operator(expm_oracle(h + h.conj().T, spec.duration), state)
             assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
             assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
 

@@ -196,18 +196,21 @@ class TestInnerProducts:
 
 
 class TestHybridState:
-    def test_norm_enforced_when_normalized(self):
+    def test_norm_enforced(self):
         amp = np.zeros((2, 5, 5), dtype=complex)
         amp[0, 0, 0] = 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not normalized"):
             HybridState(amp, Truncation(4, 4, 1))
-        HybridState(amp, Truncation(4, 4, 1), normalized=False)  # fine
+        amp[1, 2, 3] = math.sqrt(0.75)
+        HybridState(amp, Truncation(4, 4, 1))  # fine
 
-    def test_nonfinite_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_rejected(self, bad):
         amp = np.zeros((2, 5, 5), dtype=complex)
-        amp[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            HybridState(amp, Truncation(4, 4, 1), normalized=False)
+        amp[0, 0, 0] = 1.0
+        amp[1, 4, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            HybridState(amp, Truncation(4, 4, 1))
 
     def test_basis_state_outside_truncation(self):
         with pytest.raises(ValueError):

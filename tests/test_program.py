@@ -96,14 +96,6 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("prepare q=e nx=0\n")
 
-    def test_closed_form_wrong_order(self):
-        with pytest.raises(ParseError) as err:
-            parse(
-                "prepare q=e nx=0 ny=0\n"
-                "pulse axis=x k=2 eta=0.2 omega=1.0 t=0.5 form=closed\n"
-            )
-        assert "k=4" in str(err.value)
-
     def test_config_after_step(self):
         with pytest.raises(ParseError):
             parse("prepare q=e nx=0 ny=0\nset nmax_x=12 nmax_y=12 guard=4\n")
@@ -159,6 +151,17 @@ class TestSerialize:
     def test_deterministic(self):
         program = Program(Truncation(12, 12, 4), tuple(build_noon8(1.0, 1.0, 50)))
         assert serialize(program) == serialize(program)
+
+    def test_closed_form_k2_round_trips(self):
+        program = parse(
+            "set nmax_x=12 nmax_y=12 guard=4\n"
+            "prepare q=e nx=0 ny=0\n"
+            "pulse axis=x k=2 eta=0.2 omega=1.0 t=auto_vacuum_pi form=closed\n"
+            "pulse axis=y k=2 eta=0.3 omega=2.5 t=auto_super_pi(40) form=closed\n"
+        )
+        assert program.steps[1].spec.k == 2
+        assert program.steps[2].spec.form == "closed"
+        assert parse(serialize(program)) == program
 
     def test_empty_step_list_round_trips(self):
         program = Program(Truncation(10, 11, 4), ())

@@ -195,9 +195,16 @@ class TestExactSuperpositionSolver:
 
 
 class TestResolveDuration:
-    def test_super_pi_for_k2_full_pulse_transfers_as_predicted(self):
+    def test_vacuum_pi_for_k2_closed_pulse(self):
+        spec, infid = resolve_duration(PulseSpec("x", 2, 0.2, 15000.0, VacuumPi(), "closed"))
+        assert infid == 0.0
+        out, _ = apply_pulse(basis_state("e", 0, 0, TRUNC), spec)
+        assert out.population("g", 2, 0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("form", ["full", "closed"])
+    def test_super_pi_for_k2_pulse_transfers_as_predicted(self, form):
         # the pulse must drive |g,2> -> |e,0> and its partner |e,2> -> |g,4>
-        spec = PulseSpec("x", 2, 0.2, 15000.0, SuperpositionPi(1000), "full")
+        spec = PulseSpec("x", 2, 0.2, 15000.0, SuperpositionPi(1000), form)
         resolved, infid = resolve_duration(spec)
         out, _ = apply_pulse(basis_state("e", 2, 0, TRUNC), resolved)
         assert out.population("g", 4, 0) == pytest.approx(1.0 - infid, abs=1e-12)
