@@ -3,8 +3,8 @@ motion of a single trapped ion.
 
 The package is organized in four layers:
 
-- :mod:`noonsim.fock` -- truncated two-mode Fock space: states, ladder and
-  number-shift operators, associated Laguerre polynomials, tensor embedding.
+- :mod:`noonsim.fock` -- truncated two-mode Fock space: states, ladder
+  operators, associated Laguerre polynomials, tensor embedding.
 - :mod:`noonsim.dynamics` -- sideband pulses and carrier rotations.  The
   runtime propagator is a pair-rotation kernel on the amplitude tensor:
   each sideband pulse is a set of 2x2 rotations on the pairs
@@ -25,18 +25,12 @@ from .fock import (
     Truncation,
     HybridState,
     ModeOperator,
-    LambDickeInput,
     QUBIT_INDEX,
     QUBIT_LABELS,
     laguerre_assoc,
     ladder,
-    sg_lower,
-    lamb_dicke,
     embed,
     basis_state,
-    inner,
-    norm,
-    fidelity,
 )
 from .dynamics import (
     PulseSpec,
@@ -71,10 +65,9 @@ from .protocol import (
 from .program import Program, ParseError, parse, serialize
 
 __all__ = [
-    "Truncation", "HybridState", "ModeOperator", "LambDickeInput",
+    "Truncation", "HybridState", "ModeOperator",
     "QUBIT_INDEX", "QUBIT_LABELS",
-    "laguerre_assoc", "ladder", "sg_lower", "lamb_dicke",
-    "embed", "basis_state", "inner", "norm", "fidelity",
+    "laguerre_assoc", "ladder", "embed", "basis_state",
     "PulseSpec", "RotationSpec", "PhysicsError",
     "coupling_g", "sideband_hamiltonian", "closed_form_unitary",
     "expm_oracle", "carrier_rotation", "apply_pulse", "apply_rotation",

@@ -16,30 +16,14 @@ import sys
 
 from .dynamics import PhysicsError, apply_pulse
 from .fock import QUBIT_LABELS
-from .program import ParseError, Program, parse, serialize
-from .protocol import (
-    MeasureQubit,
-    Prepare,
-    Rotate,
-    SidebandPulse,
-    noon_fidelity,
-    run_sequence,
-)
+from .program import ParseError, Program, parse, serialize, step_keyword
+from .protocol import SidebandPulse, noon_fidelity, run_sequence
 
 SCHEMA_VERSION = 1
 
 EXIT_PARSE = 2
 EXIT_PHYSICS = 3
 EXIT_IO = 4
-
-
-def _step_kind(step) -> str:
-    return {
-        Prepare: "prepare",
-        SidebandPulse: "pulse",
-        Rotate: "rotate",
-        MeasureQubit: "measure",
-    }[type(step)]
 
 
 def _state_rows(state) -> list[list[float]]:
@@ -68,7 +52,7 @@ def result_document(
         p_g, p_e = state.qubit_populations()
         rec = {
             "step": idx,
-            "kind": _step_kind(program.steps[idx]),
+            "kind": step_keyword(program.steps[idx]),
             "p_g": p_g,
             "p_e": p_e,
             "leakage": leakage,
@@ -197,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-states", action="store_true",
                      help="include per-step state amplitudes in the output")
     run.add_argument("--out", default=None, help="output file (default stdout)")
-    run.add_argument("--noon-n", type=int, default=8, dest="noon_n",
-                     help="NOON order scored in the diagnostics")
+    run.add_argument("--noon-n", type=_positive_int, default=8, dest="noon_n",
+                     help="NOON order scored in the diagnostics, 1..min(nmax_x, nmax_y)")
     run.set_defaults(func=cmd_run)
 
     scan = sub.add_parser("scan", help="scan one pulse's duration, CSV output")

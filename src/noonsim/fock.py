@@ -116,18 +116,6 @@ class ModeOperator:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class LambDickeInput:
-    """Motional ground-state spread and laser wavelength along one axis."""
-
-    ground_state_spread: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.ground_state_spread <= 0 or self.wavelength <= 0:
-            raise ValueError("spread and wavelength must be strictly positive")
-
-
 def laguerre_assoc(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^(k)(x).
 
@@ -160,25 +148,6 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
     if which == "raise":
         return ModeOperator(a.conj().T, axis)
     raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
-
-
-def sg_lower(dim: int, axis: str = "x") -> ModeOperator:
-    """Susskind-Glogower number-shift operator: |n> -> |n-1>, |0> -> 0.
-
-    Built directly as the shift matrix rather than as (n+1)^(-1/2) a, which
-    is the same thing on n >= 1 but avoids 0*inf bookkeeping at the vacuum.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    v = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        v[n - 1, n] = 1.0
-    return ModeOperator(v, axis)
-
-
-def lamb_dicke(inp: LambDickeInput) -> float:
-    """Lamb-Dicke parameter: 2*pi * ground-state spread / wavelength."""
-    return 2.0 * math.pi * inp.ground_state_spread / inp.wavelength
 
 
 def _kron3(q: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,19 +183,3 @@ def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
     amp = np.zeros((2, trunc.dim_x, trunc.dim_y), dtype=complex)
     amp[QUBIT_INDEX[q], nx, ny] = 1.0
     return HybridState(amp, trunc)
-
-
-def inner(a: HybridState, b: HybridState) -> complex:
-    """Hermitian inner product <a|b>."""
-    if a.trunc != b.trunc:
-        raise ValueError("truncation mismatch")
-    return complex(np.vdot(a.amp, b.amp))
-
-
-def norm(a: HybridState) -> float:
-    return float(np.linalg.norm(a.amp))
-
-
-def fidelity(a: HybridState, b: HybridState) -> float:
-    """|<a|b>|^2."""
-    return float(abs(inner(a, b)) ** 2)

@@ -1,16 +1,15 @@
 """Pulse-program text format: parser and canonical serializer.
 
 One step per line, ``keyword key=value ...``; ``#`` starts a comment and
-blank lines are ignored.  Config (``set``) lines precede steps.  Example:
+blank lines are ignored.  Config lines precede steps, and the first step
+prepares the initial state; ``demos/noon8.pp`` is a complete program.
 
-    set nmax_x=12 nmax_y=12 guard=4
-    prepare q=e nx=0 ny=0
-    pulse axis=x k=4 eta=0.2 omega=15000.0 t=auto_vacuum_pi form=closed
-    rotate theta=pi phi=-pi/2
-    measure q=e
-
-Serialization is canonical (fixed key order, repr floats), and
-parse(serialize(p)) == p for every valid program.
+The format is written down once, in the table ``_FORMAT``: each keyword
+names what its line builds and its keys in canonical order, and each key
+names the attribute it sets, its parser and its formatter.  ``parse``,
+``serialize`` and ``step_keyword`` all read that table.  Serialization is
+canonical (fixed key order, repr floats), and parse(serialize(p)) == p for
+every valid program.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .fock import Truncation
 from .dynamics import PulseSpec, RotationSpec
@@ -54,53 +54,117 @@ class Program:
             raise ValueError("a non-empty program needs exactly one Prepare, first")
 
 
+_TOKEN_RE = re.compile(r"\S+")
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\*?pi(?:/(\d+(?:\.\d*)?))?$")
 _SUPER_RE = re.compile(r"^auto_super_pi\((\d+)\)$")
 
-
-def _parse_angle(text: str, line: int, col: int) -> float:
-    """Float literal, or a pi expression like ``pi``, ``-pi/2``, ``2pi``."""
-    m = _PI_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"invalid angle {text!r}", line, col) from None
-    return _finite(value, text, line, col)
+# Value parsers take the text after ``key=`` and raise ValueError, which
+# ``parse`` reports at the key's column.
 
 
-def _parse_real(text: str, line: int, col: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"invalid number {text!r}", line, col) from None
-    return _finite(value, text, line, col)
-
-
-def _finite(value: float, text: str, line: int, col: int) -> float:
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite number {text!r}", line, col)
-    return value
-
-
-def _parse_int(text: str, line: int, col: int) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"invalid integer {text!r}", line, col) from None
+        raise ValueError(f"invalid integer {text!r}") from None
 
 
-def _parse_duration(text: str, line: int, col: int):
+def _parse_real(text: str, what: str = "number") -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"invalid {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _parse_angle(text: str) -> float:
+    """Float literal, or a pi expression like ``pi``, ``-pi/2``, ``2pi``."""
+    m = _PI_RE.match(text)
+    if not m:
+        return _parse_real(text, "angle")
+    sign = -1.0 if m.group(1) == "-" else 1.0
+    num = float(m.group(2)) if m.group(2) else 1.0
+    den = float(m.group(3)) if m.group(3) else 1.0
+    return sign * num * math.pi / den
+
+
+def _parse_duration(text: str):
     if text == "auto_vacuum_pi":
         return VacuumPi()
     m = _SUPER_RE.match(text)
     if m:
         return SuperpositionPi(int(m.group(1)))
-    return _parse_real(text, line, col)
+    return _parse_real(text)
+
+
+def _choice(what: str, *choices: str) -> Callable[[str], str]:
+    def parse_choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid {what} {text!r} (expected one of {', '.join(choices)})")
+        return text
+
+    return parse_choice
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_duration(d) -> str:
+    if isinstance(d, VacuumPi):
+        return "auto_vacuum_pi"
+    if isinstance(d, SuperpositionPi):
+        return f"auto_super_pi({d.horizon})"
+    return _fmt(d)
+
+
+class _Key(NamedTuple):
+    name: str  # as written before the '='
+    attr: str  # attribute of the object the line builds
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str]
+
+
+class _Line(NamedTuple):
+    builds: type  # a Step class, or Truncation for a config line
+    spec: type | None  # for a step that wraps a spec: the class the keys fill
+    keys: tuple[_Key, ...]  # canonical order
+    first_only: str | None = None  # error message if the line follows a step
+
+
+_QUBIT = _choice("qubit level", "g", "e")
+
+_FORMAT: dict[str, _Line] = {
+    "set": _Line(Truncation, None, (
+        _Key("nmax_x", "n_max_x", _parse_int, str),
+        _Key("nmax_y", "n_max_y", _parse_int, str),
+        _Key("guard", "guard", _parse_int, str),
+    ), "config lines must precede steps"),
+    "prepare": _Line(Prepare, None, (
+        _Key("q", "q", _QUBIT, str),
+        _Key("nx", "nx", _parse_int, str),
+        _Key("ny", "ny", _parse_int, str),
+    ), "prepare may only appear first"),
+    "pulse": _Line(SidebandPulse, PulseSpec, (
+        _Key("axis", "axis", _choice("axis", "x", "y"), str),
+        _Key("k", "k", _parse_int, str),
+        _Key("eta", "eta", _parse_real, _fmt),
+        _Key("omega", "omega", _parse_real, _fmt),
+        _Key("t", "duration", _parse_duration, _fmt_duration),
+        _Key("form", "form", _choice("form", "closed", "full"), str),
+    )),
+    "rotate": _Line(Rotate, RotationSpec, (
+        _Key("theta", "theta", _parse_angle, _fmt),
+        _Key("phi", "phi", _parse_angle, _fmt),
+    )),
+    "measure": _Line(MeasureQubit, None, (
+        _Key("q", "outcome", _QUBIT, str),
+    )),
+}
+_KEY_NAMES = {keyword: [key.name for key in line.keys] for keyword, line in _FORMAT.items()}
+_KEYWORDS = {line.builds: keyword for keyword, line in _FORMAT.items()}
 
 
 def _split_fields(tokens: list[tuple[str, int]], allowed: list[str], line: int) -> dict:
@@ -121,133 +185,60 @@ def _split_fields(tokens: list[tuple[str, int]], allowed: list[str], line: int) 
     return out
 
 
-def _check_choice(value: str, choices: tuple[str, ...], what: str, line: int, col: int) -> str:
-    if value not in choices:
-        raise ParseError(
-            f"invalid {what} {value!r} (expected one of {', '.join(choices)})", line, col
-        )
-    return value
-
-
 def parse(text: str) -> Program:
     """Parse pulse-program text; raises ParseError with line/column."""
-    trunc_fields: dict[str, int] = {}
+    trunc = Truncation()
     steps: list[Step] = []
-    seen_step = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
+        if not tokens:
             continue
-        tokens = []
-        for m in re.finditer(r"\S+", line):
-            tokens.append((m.group(0), m.start() + 1))
         keyword, kw_col = tokens[0]
-        rest = tokens[1:]
-
+        line = _FORMAT.get(keyword)
+        if line is None:
+            raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+        if steps and line.first_only:
+            raise ParseError(line.first_only, lineno, kw_col)
+        fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
+        values = {}
+        for key in line.keys:
+            value, col = fields[key.name]
+            try:
+                values[key.attr] = key.parse(value)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from None
         try:
-            if keyword == "set":
-                if seen_step:
-                    raise ParseError("config lines must precede steps", lineno, kw_col)
-                fields = _split_fields(rest, ["nmax_x", "nmax_y", "guard"], lineno)
-                for key, target in (("nmax_x", "n_max_x"), ("nmax_y", "n_max_y"), ("guard", "guard")):
-                    v, col = fields[key]
-                    trunc_fields[target] = _parse_int(v, lineno, col)
-            elif keyword == "prepare":
-                if seen_step:
-                    raise ParseError("prepare may only appear first", lineno, kw_col)
-                fields = _split_fields(rest, ["q", "nx", "ny"], lineno)
-                q, qcol = fields["q"]
-                _check_choice(q, ("g", "e"), "qubit level", lineno, qcol)
-                steps.append(
-                    Prepare(
-                        q,
-                        _parse_int(fields["nx"][0], lineno, fields["nx"][1]),
-                        _parse_int(fields["ny"][0], lineno, fields["ny"][1]),
-                    )
-                )
-                seen_step = True
-            elif keyword == "pulse":
-                fields = _split_fields(rest, ["axis", "k", "eta", "omega", "t", "form"], lineno)
-                axis, acol = fields["axis"]
-                _check_choice(axis, ("x", "y"), "axis", lineno, acol)
-                form, fcol = fields["form"]
-                _check_choice(form, ("closed", "full"), "form", lineno, fcol)
-                try:
-                    spec = PulseSpec(
-                        axis,
-                        _parse_int(fields["k"][0], lineno, fields["k"][1]),
-                        _parse_real(fields["eta"][0], lineno, fields["eta"][1]),
-                        _parse_real(fields["omega"][0], lineno, fields["omega"][1]),
-                        _parse_duration(fields["t"][0], lineno, fields["t"][1]),
-                        form,
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, kw_col) from None
-                steps.append(SidebandPulse(spec))
-                seen_step = True
-            elif keyword == "rotate":
-                fields = _split_fields(rest, ["theta", "phi"], lineno)
-                steps.append(
-                    Rotate(
-                        RotationSpec(
-                            _parse_angle(fields["theta"][0], lineno, fields["theta"][1]),
-                            _parse_angle(fields["phi"][0], lineno, fields["phi"][1]),
-                        )
-                    )
-                )
-                seen_step = True
-            elif keyword == "measure":
-                fields = _split_fields(rest, ["q"], lineno)
-                q, qcol = fields["q"]
-                _check_choice(q, ("g", "e"), "qubit level", lineno, qcol)
-                steps.append(MeasureQubit(q))
-                seen_step = True
-            else:
-                raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
-        except ParseError:
-            raise
+            obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, kw_col) from None
+        if line.builds is Truncation:
+            trunc = obj
+        else:
+            steps.append(obj)
 
     try:
-        trunc = Truncation(**trunc_fields)
         return Program(trunc, tuple(steps))
     except ValueError as exc:
-        raise ParseError(str(exc), len(text.splitlines()) or 1) from None
+        raise ParseError(str(exc), len(lines) or 1) from None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def step_keyword(step) -> str:
+    """The keyword that starts the line of a step (or of a Truncation)."""
+    try:
+        return _KEYWORDS[type(step)]
+    except KeyError:
+        raise ValueError(f"unknown step {step!r}") from None
 
 
-def _fmt_duration(d) -> str:
-    if isinstance(d, VacuumPi):
-        return "auto_vacuum_pi"
-    if isinstance(d, SuperpositionPi):
-        return f"auto_super_pi({d.horizon})"
-    return _fmt(d)
+def _format_line(obj) -> str:
+    keyword = step_keyword(obj)
+    line = _FORMAT[keyword]
+    holder = obj.spec if line.spec else obj
+    return " ".join([keyword] + [f"{k.name}={k.fmt(getattr(holder, k.attr))}" for k in line.keys])
 
 
 def serialize(program: Program) -> str:
     """Canonical text form; deterministic, round-trips through parse()."""
-    lines = [
-        f"set nmax_x={program.trunc.n_max_x} nmax_y={program.trunc.n_max_y} "
-        f"guard={program.trunc.guard}"
-    ]
-    for step in program.steps:
-        if isinstance(step, Prepare):
-            lines.append(f"prepare q={step.q} nx={step.nx} ny={step.ny}")
-        elif isinstance(step, SidebandPulse):
-            s = step.spec
-            lines.append(
-                f"pulse axis={s.axis} k={s.k} eta={_fmt(s.eta)} omega={_fmt(s.omega)} "
-                f"t={_fmt_duration(s.duration)} form={s.form}"
-            )
-        elif isinstance(step, Rotate):
-            lines.append(f"rotate theta={_fmt(step.spec.theta)} phi={_fmt(step.spec.phi)}")
-        elif isinstance(step, MeasureQubit):
-            lines.append(f"measure q={step.outcome}")
-        else:
-            raise ValueError(f"unknown step {step!r}")
+    lines = [_format_line(program.trunc)] + [_format_line(step) for step in program.steps]
     return "\n".join(lines) + "\n"

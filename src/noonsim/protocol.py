@@ -120,10 +120,14 @@ def solve_duration(
     ``w_vac`` drives |e,0> <-> |g,k> and ``w_super`` its partner
     |e,k> <-> |g,2k>.  Returns (t, predicted infidelity of the timing
     choice).  ``VacuumPi`` gives the exact pi / (2 w_vac).
-    ``SuperpositionPi(M)`` gives the candidate t_m = (2m + 3/2) pi / w_vac,
-    m = 0..M, that maximizes sin^2(w_super t_m), the smallest m among ties;
-    each candidate has sin^2(w_vac t_m) = 1, so the infidelity is
-    1 - sin^2(w_super t).
+    ``SuperpositionPi(M)`` gives a candidate t_m = (2m + 3/2) pi / w_vac,
+    m = 0..M; each has sin^2(w_vac t_m) = 1, so its infidelity is
+    1 - sin^2(w_super t_m).  Of the records (``_records``) it keeps the one
+    with the lowest infidelity as evaluated in floating point, the smallest
+    m among ties.  Below a horizon of about 1e8 that is the exact best
+    candidate; beyond it the rounding of t can outweigh the gain of a later
+    record, and keeping the earlier one means a larger horizon never gives
+    a worse pulse.
     """
     if not (math.isfinite(w_vac) and math.isfinite(w_super)):
         raise ValueError(f"Rabi frequencies must be finite, got {w_vac!r} and {w_super!r}")
@@ -132,25 +136,30 @@ def solve_duration(
     if isinstance(marker, VacuumPi):
         return math.pi / (2.0 * w_vac), 0.0
     if isinstance(marker, SuperpositionPi):
-        m = _best_candidate(w_vac, w_super, marker.horizon)
-        t = (2.0 * m + 1.5) * math.pi / w_vac
-        s = float(np.sin(w_super * t))
-        return t, 1.0 - s * s
+        best = None
+        for m in _records(w_vac, w_super, marker.horizon):
+            t = (2.0 * m + 1.5) * math.pi / w_vac
+            s = float(np.sin(w_super * t))
+            infid = 1.0 - s * s
+            if best is None or infid < best[1]:
+                best = (t, infid)
+        return best
     raise ValueError(f"unknown duration marker {marker!r}")
 
 
-def _best_candidate(w_vac: float, w_super: float, horizon: int) -> int:
-    """Smallest m in [0, horizon] that maximizes sin^2(w_super t_m).
+def _records(w_vac: float, w_super: float, horizon: int):
+    """The records of the candidates up to the horizon, in increasing order.
 
     With r = w_super / w_vac, sin^2(w_super t_m) = cos^2(pi D_m), where D_m
     is the distance of 2 r m + (3r - 1)/2 to the nearest integer.  Taking r
     as the exact rational p / q of the two floats makes this integer
     arithmetic: D_m = min(v_m, c - v_m) / c with v_m = (a m + b) mod c,
-    c = 2q, a = 4p, b = 3p - q.  The search walks the records, the m where
-    D_m drops below every earlier value; the next record is the first m
-    after the current one whose v_m lies within the current distance of 0,
-    which ``_first_at_most`` finds in O(log c) steps.  It stops at the first
-    record beyond the horizon, so no O(horizon) work or memory is needed.
+    c = 2q, a = 4p, b = 3p - q.  A record is an m where D_m drops below
+    every earlier value, so m = 0 is the first; the next record is the
+    first m after the current one whose v_m lies within the current
+    distance of 0, which ``_first_at_most`` finds in O(log c) steps.  The
+    walk stops at the first record beyond the horizon, so no O(horizon)
+    work or memory is needed.
     """
     p_super, q_super = w_super.as_integer_ratio()
     p_vac, q_vac = w_vac.as_integer_ratio()
@@ -161,15 +170,16 @@ def _best_candidate(w_vac: float, w_super: float, horizon: int) -> int:
     a, b = 4 * p % c, (3 * p - q) % c
     m, v = 0, b
     dist = min(v, c - v)
+    yield m
     while dist > 0:
         # min(v, c - v) < dist  <=>  (v + dist - 1) mod c <= 2 dist - 2
         step = _first_at_most(a, (a * (m + 1) + b + dist - 1) % c, c, 2 * dist - 2)
         if step is None or m + 1 + step > horizon:
-            break
+            return
         m += 1 + step
         v = (a * m + b) % c
         dist = min(v, c - v)
-    return m
+        yield m
 
 
 def _first_at_most(a: int, b: int, c: int, w: int) -> int | None:
@@ -369,8 +379,12 @@ def noon_fidelity(state: HybridState, n: int) -> NoonFidelity:
 
     The overlap with NOON(n, chi) is (a_n0 + e^{-i chi} a_0n) / sqrt(2), so
     the best phase is chi* = arg(a_0n) - arg(a_n0) and the maximum is
-    (|a_n0| + |a_0n|)^2 / 2; no numeric scan is needed.
+    (|a_n0| + |a_0n|)^2 / 2; no numeric scan is needed.  An n outside
+    1..min(n_max_x, n_max_y) raises PhysicsError.
     """
+    top = min(state.trunc.n_max_x, state.trunc.n_max_y)
+    if not 1 <= n <= top:
+        raise PhysicsError(f"NOON order N = {n} is outside 1..{top} for this truncation")
     modes = mode_amplitudes(state)
     a_n0 = complex(modes[n, 0])
     a_0n = complex(modes[0, n])

@@ -32,6 +32,32 @@ class TestRun:
         # rows are (qubit, nx, ny, re, im)
         assert len(doc["steps"][0]["state"][0]) == 5
 
+    def test_step_kinds_are_the_program_keywords(self, capsys):
+        code, out, _ = run_cli(capsys, "run", str(NOON8_PP))
+        assert code == 0
+        keywords = [
+            line.split()[0] for line in NOON8_PP.read_text().splitlines()
+            if line and not line.startswith(("#", "set"))
+        ]
+        assert [rec["kind"] for rec in json.loads(out)["steps"]] == keywords
+
+    @pytest.mark.parametrize("value", ["99", "13"])
+    def test_noon_order_above_the_truncation_is_a_physics_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "run", str(NOON8_PP), "--noon-n", value)
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert f"N = {value}" in doc["message"]
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_noon_order_below_one_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(NOON8_PP), f"--noon-n={value}"])
+        assert exc.value.code == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "usage"
+        assert doc["message"].startswith("argument --noon-n:")
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "e")
         _, out2, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "e")

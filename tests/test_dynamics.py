@@ -20,7 +20,6 @@ from noonsim import (
     coupling_g,
     embed,
     expm_oracle,
-    fidelity,
     ladder,
     noon_fidelity,
     run_sequence,
@@ -247,7 +246,7 @@ class TestApplyPulse:
     def test_zero_duration(self):
         state = basis_state("e", 2, 3, TRUNC)
         out, leakage = apply_pulse(state, closed_spec(t=0.0))
-        assert fidelity(out, state) == pytest.approx(1.0)
+        assert abs(np.vdot(out.amp, state.amp)) ** 2 == pytest.approx(1.0)
         assert leakage == 0.0
 
     def test_vacuum_transfer_closed(self):
@@ -266,7 +265,7 @@ class TestApplyPulse:
         full, _ = apply_pulse(
             basis_state("e", 0, 0, TRUNC), PulseSpec("x", 4, eta, omega, t, "full")
         )
-        assert fidelity(closed, full) >= 1 - 1e-3
+        assert abs(np.vdot(closed.amp, full.amp)) ** 2 >= 1 - 1e-3
 
     def test_symbolic_duration_rejected(self):
         spec = PulseSpec("x", 4, 0.2, 15000.0, VacuumPi(), "closed")

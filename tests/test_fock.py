@@ -5,17 +5,11 @@ import pytest
 
 from noonsim import (
     HybridState,
-    LambDickeInput,
     Truncation,
     basis_state,
     embed,
-    fidelity,
-    inner,
     ladder,
     laguerre_assoc,
-    lamb_dicke,
-    norm,
-    sg_lower,
 )
 
 
@@ -82,62 +76,6 @@ class TestLadder:
             ladder(4, "sideways")
 
 
-class TestSusskindGlogower:
-    def test_shift(self):
-        v_op = sg_lower(8).mat
-        ket5 = np.eye(8)[5]
-        assert np.allclose(v_op @ ket5, np.eye(8)[4])
-
-    def test_vacuum_annihilated(self):
-        v_op = sg_lower(8).mat
-        assert np.allclose(v_op @ np.eye(8)[0], 0.0)
-
-    def test_fourth_power_kills_three_phonons(self):
-        v_op = sg_lower(8).mat
-        assert np.allclose(np.linalg.matrix_power(v_op, 4) @ np.eye(8)[3], 0.0)
-
-    def test_isometry_identities(self):
-        dim = 9
-        v = sg_lower(dim).mat
-        vv = v @ v.conj().T
-        sub = slice(0, dim - 1)
-        assert np.max(np.abs(vv[sub, sub] - np.eye(dim - 1))) <= 1e-12
-        vdv = v.conj().T @ v
-        expected = np.eye(dim)
-        expected[0, 0] = 0.0
-        assert np.max(np.abs(vdv[sub, sub] - expected[sub, sub])) <= 1e-12
-
-    def test_agrees_with_number_weighted_lowering(self):
-        # (n+1)^(-1/2) a and the shift matrix must agree on n >= 1
-        dim = 10
-        a = ladder(dim, "lower").mat
-        weights = np.diag(1.0 / np.sqrt(np.arange(dim) + 1.0))
-        alt = weights @ a
-        assert np.max(np.abs(alt - sg_lower(dim).mat)) <= 1e-12
-
-
-class TestLambDicke:
-    def test_cancellation(self):
-        lam = 313e-9
-        assert lamb_dicke(LambDickeInput(lam / (2 * math.pi), lam)) == pytest.approx(1.0)
-
-    def test_linearity(self):
-        lam = 500e-9
-        eta = lamb_dicke(LambDickeInput(0.1 * lam / (2 * math.pi), lam))
-        assert eta == pytest.approx(0.1)
-
-    def test_beryllium_numbers(self):
-        eta = lamb_dicke(LambDickeInput(10e-9, 313e-9))
-        assert eta == pytest.approx(2 * math.pi * 10 / 313, rel=1e-14)
-        assert eta == pytest.approx(0.2007, abs=5e-5)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            LambDickeInput(0.0, 313e-9)
-        with pytest.raises(ValueError):
-            LambDickeInput(1e-9, -1.0)
-
-
 class TestEmbed:
     trunc = Truncation(6, 5, 2)
 
@@ -168,31 +106,6 @@ class TestEmbed:
         ax = embed(ladder(7, "lower", "x"), self.trunc)
         by = embed(ladder(6, "raise", "y"), self.trunc)
         assert np.array_equal(ax @ by, by @ ax)
-
-
-class TestInnerProducts:
-    trunc = Truncation(10, 10, 2)
-
-    def test_self_inner_is_one(self):
-        s = basis_state("e", 3, 5, self.trunc)
-        assert inner(s, s) == pytest.approx(1.0)
-        assert norm(s) == pytest.approx(1.0)
-
-    def test_orthogonal_fock_states(self):
-        a = basis_state("g", 0, 8, self.trunc)
-        b = basis_state("g", 8, 0, self.trunc)
-        assert fidelity(a, b) == 0.0
-
-    def test_half_overlap_with_noon(self):
-        amp = np.zeros((2, 11, 11), dtype=complex)
-        amp[0, 8, 0] = 1 / math.sqrt(2)
-        amp[0, 0, 8] = 1 / math.sqrt(2)
-        noon = HybridState(amp, self.trunc)
-        assert fidelity(noon, basis_state("g", 8, 0, self.trunc)) == pytest.approx(0.5)
-
-    def test_truncation_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(basis_state("g", 0, 0, self.trunc), basis_state("g", 0, 0, Truncation(9, 9, 2)))
 
 
 class TestHybridState:

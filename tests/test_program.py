@@ -18,9 +18,20 @@ from noonsim import (
     parse,
     serialize,
 )
+from noonsim.program import step_keyword
 from conftest import random_program
 
 NOON8_PP = Path(__file__).resolve().parent.parent / "demos" / "noon8.pp"
+
+
+VALID = (
+    "set nmax_x=12 nmax_y=12 guard=4\n"
+    "prepare q=e nx=0 ny=0\n"
+    "pulse axis=x k=4 eta=0.2 omega=15000.0 t=auto_super_pi(1000) form=closed\n"
+    "rotate theta=pi phi=-pi/2\n"
+    "measure q=e\n"
+    "rotate theta=0.5 phi=0.25\n"
+)
 
 
 class TestParse:
@@ -60,6 +71,18 @@ class TestParse:
         assert spec.phi == pytest.approx(-math.pi / 2)
         program = parse("prepare q=e nx=0 ny=0\nrotate theta=2pi phi=0.5\n")
         assert program.steps[1].spec.theta == pytest.approx(2 * math.pi)
+
+    def test_every_keyword_parses(self):
+        program = parse(VALID)
+        assert [type(step) for step in program.steps] == [
+            Prepare, SidebandPulse, Rotate, MeasureQubit, Rotate
+        ]
+        assert [step_keyword(step) for step in program.steps] == [
+            line.split()[0] for line in VALID.splitlines()[1:]
+        ]
+        assert step_keyword(program.trunc) == "set"
+        with pytest.raises(ValueError, match="unknown step"):
+            step_keyword(object())
 
     def test_shipped_noon8_matches_builder(self):
         program = parse(NOON8_PP.read_text())
@@ -128,6 +151,42 @@ class TestParseErrors:
         assert err.value.col == line.index(f" {key}=") + 2
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "lineno, key, bad",
+        [
+            (1, "nmax_x", "a"),
+            (1, "nmax_y", "1.5"),
+            (1, "guard", "four"),
+            (2, "q", "x"),
+            (2, "nx", "zero"),
+            (2, "ny", "-"),
+            (3, "axis", "z"),
+            (3, "k", "two"),
+            (3, "eta", "small"),
+            (3, "omega", "1e999"),
+            (3, "t", "auto_super_pi(0)"),
+            (3, "form", "f"),
+            (4, "theta", "tau"),
+            (4, "phi", "nan"),
+            (5, "q", "x"),
+        ],
+    )
+    def test_bad_value_names_its_key_line_and_column(self, lineno, key, bad):
+        lines = VALID.splitlines()
+        before, _, after = lines[lineno - 1].partition(f" {key}=")
+        lines[lineno - 1] = f"{before} {key}={bad} {after.partition(' ')[2]}".rstrip()
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.col) == (lineno, len(before) + 2)
+        assert repr(bad) in str(err.value) or "horizon" in str(err.value)
+
+    def test_bad_truncation_names_its_set_line(self):
+        text = VALID.replace("guard=4", "guard=99")
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, 1)
+        assert "guard" in str(err.value)
+
     def test_totality_on_garbage(self):
         rng = random.Random(99)
         alphabet = "abcxyz=()/#0123456789_. \tpulse"
@@ -173,6 +232,9 @@ class TestSerialize:
         assert lines[0] == "set nmax_x=12 nmax_y=12 guard=4"
         assert lines[1] == "prepare q=e nx=0 ny=0"
         assert lines[-1] == "measure q=e"
+        # the shipped file is canonical text apart from its comment line
+        shipped = [line for line in NOON8_PP.read_text().splitlines() if not line.startswith("#")]
+        assert lines == shipped
 
 
 class TestProgramInvariants:
