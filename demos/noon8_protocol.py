@@ -3,7 +3,8 @@
 Starts from |e, 0, 0>, gives four phonons to each mode with vacuum pi
 pulses, splits the qubit, runs the two superposition pulses, rotates, and
 post-selects on each measurement outcome.  Prints the dominant amplitudes
-after every step and the final NOON fidelity for both branches.
+after every step, the solved duration and predicted timing infidelity of
+each auto-timed pulse, and the final NOON fidelity for both branches.
 
 Run:  python demos/noon8_protocol.py
 """
@@ -51,9 +52,12 @@ def show(state, top=4):
 for outcome in ("e", "g"):
     print(f"\n=== measurement outcome {outcome!r} ===")
     result = run_sequence(steps, trunc, outcome_override=outcome)
-    for (idx, state, leakage), name in zip(result.snapshots, names):
-        print(f"  step {idx}: {name}   (guard-band leakage {leakage:.2e})")
-        show(state)
+    for rec, name in zip(result.steps, names):
+        print(f"  step {rec.index}: {name}   (guard-band leakage {rec.leakage:.2e})")
+        if rec.timing_infidelity is not None:
+            print(f"      t = {rec.duration:.6f}, predicted timing infidelity "
+                  f"{rec.timing_infidelity:.2e}")
+        show(rec.state)
     m = result.measurements[0]
     nf = noon_fidelity(result.final_state, 8)
     print(f"  branch probability      : {m.probability:.6f}")

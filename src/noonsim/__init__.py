@@ -52,7 +52,7 @@ from .protocol import (
     MeasureQubit,
     VacuumPi,
     SuperpositionPi,
-    MeasurementRecord,
+    StepRecord,
     RunResult,
     NoonFidelity,
     vacuum_pulse_time,
@@ -73,7 +73,7 @@ __all__ = [
     "expm_oracle", "carrier_rotation", "apply_pulse", "apply_rotation",
     "apply_operator",
     "Prepare", "SidebandPulse", "Rotate", "MeasureQubit",
-    "VacuumPi", "SuperpositionPi", "MeasurementRecord", "RunResult",
+    "VacuumPi", "SuperpositionPi", "StepRecord", "RunResult",
     "NoonFidelity", "vacuum_pulse_time", "superposition_pulse_time",
     "run_sequence", "build_noon8", "noon_target", "noon_fidelity",
     "Program", "ParseError", "parse", "serialize",

@@ -14,12 +14,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .dynamics import PhysicsError, apply_pulse
 from .fock import QUBIT_LABELS
 from .program import ParseError, Program, parse, serialize, step_keyword
-from .protocol import SidebandPulse, noon_fidelity, run_sequence
+from .protocol import SidebandPulse, noon_fidelity, qubit_level, run_sequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PARSE = 2
 EXIT_PHYSICS = 3
@@ -27,15 +29,10 @@ EXIT_IO = 4
 
 
 def _state_rows(state) -> list[list[float]]:
-    rows = []
+    """(q, nx, ny, re, im) of every nonzero amplitude, in layout order."""
     amp = state.amp
-    for q in range(2):
-        for nx in range(amp.shape[1]):
-            for ny in range(amp.shape[2]):
-                a = amp[q, nx, ny]
-                if a != 0:
-                    rows.append([q, nx, ny, a.real, a.imag])
-    return rows
+    return [[q, nx, ny, amp[q, nx, ny].real, amp[q, nx, ny].imag]
+            for q, nx, ny in np.argwhere(amp).tolist()]
 
 
 def result_document(
@@ -45,36 +42,28 @@ def result_document(
     dump_states: bool = False,
     noon_n: int = 8,
 ) -> dict:
-    """JSON-serializable record of one run."""
-    steps = []
-    measurements = {m.step_index: m for m in result.measurements}
-    for idx, state, leakage in result.snapshots:
-        p_g, p_e = state.qubit_populations()
-        rec = {
-            "step": idx,
-            "kind": step_keyword(program.steps[idx]),
-            "p_g": p_g,
-            "p_e": p_e,
-            "leakage": leakage,
-        }
-        if idx in measurements:
-            rec["outcome"] = measurements[idx].outcome
-            rec["probability"] = measurements[idx].probability
-        if dump_states:
-            rec["state"] = _state_rows(state)
-        steps.append(rec)
+    """JSON-serializable record of one run, ``schema_version`` 2.
 
-    diagnostics = dict(result.diagnostics)
-    diagnostics["postselect_probability"] = result.postselect_probability
-    try:
+    A step's entry holds its index, keyword, qubit populations and the
+    ``StepRecord`` fields that are not None; its state only with
+    ``dump_states``.  A final state with a definite qubit level is scored.
+    """
+    steps = []
+    for rec in result.steps:
+        p_g, p_e = rec.state.qubit_populations()
+        entry = {"step": rec.index, "kind": step_keyword(program.steps[rec.index]),
+                 "p_g": p_g, "p_e": p_e}
+        entry.update((k, v) for k, v in vars(rec).items()
+                     if v is not None and k not in ("index", "state"))
+        if dump_states:
+            entry["state"] = _state_rows(rec.state)
+        steps.append(entry)
+
+    diagnostics = {"postselect_probability": result.postselect_probability}
+    if qubit_level(result.final_state) is not None:
         nf = noon_fidelity(result.final_state, noon_n)
         diagnostics["noon_n"] = float(noon_n)
-        diagnostics["noon_best_fidelity"] = nf.best_fidelity
-        diagnostics["noon_best_phase"] = nf.best_phase
-        diagnostics["noon_fidelity_chi_0"] = nf.fidelity_chi_0
-        diagnostics["noon_fidelity_chi_pi"] = nf.fidelity_chi_pi
-    except ValueError:
-        pass  # final state not post-selected; no NOON score
+        diagnostics.update((f"noon_{k}", v) for k, v in vars(nf).items())
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -86,16 +75,9 @@ def result_document(
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
-    result = run_sequence(
-        list(program.steps),
-        program.trunc,
-        outcome_override=args.outcome,
-    )
-    doc = result_document(
-        program, result, dump_states=args.dump_states, noon_n=args.noon_n
-    )
-    text = json.dumps(doc, indent=2) + "\n"
-    _write_out(args.out, text)
+    result = run_sequence(list(program.steps), program.trunc, outcome_override=args.outcome)
+    doc = result_document(program, result, dump_states=args.dump_states, noon_n=args.noon_n)
+    _write_out(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -109,8 +91,7 @@ def cmd_scan(args) -> int:
 
     # evolve up to (not including) the scanned pulse
     prefix = list(program.steps[: args.step])
-    result = run_sequence(prefix, program.trunc, leakage_limit=math.inf)
-    base = result.final_state
+    base = run_sequence(prefix, program.trunc, leakage_limit=math.inf).final_state
 
     if args.samples == 1:
         ts = [args.t_min]
@@ -129,7 +110,11 @@ def cmd_scan(args) -> int:
 
 def _load_program(path: str) -> Program:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        text = fh.read()
+    program = parse(text)
+    if not program.steps:
+        raise ParseError("no steps; a program starts with a prepare", len(text.splitlines()) + 1)
+    return program
 
 
 def _write_out(path: str | None, text: str) -> None:

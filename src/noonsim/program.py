@@ -189,8 +189,7 @@ def parse(text: str) -> Program:
     """Parse pulse-program text; raises ParseError with line/column."""
     trunc = Truncation()
     steps: list[Step] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
         if not tokens:
             continue
@@ -200,6 +199,8 @@ def parse(text: str) -> Program:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
         if steps and line.first_only:
             raise ParseError(line.first_only, lineno, kw_col)
+        if not steps and line.builds not in (Truncation, Prepare):
+            raise ParseError("the first step must be a prepare", lineno, kw_col)
         fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
         values = {}
         for key in line.keys:
@@ -212,15 +213,17 @@ def parse(text: str) -> Program:
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, kw_col) from None
+        if line.builds is Prepare:
+            for key, top in (("nx", trunc.n_max_x), ("ny", trunc.n_max_y)):
+                if not 0 <= values[key] <= top:
+                    message = f"{key}={values[key]} is outside the truncation, 0..{top}"
+                    raise ParseError(message, lineno, fields[key][1])
         if line.builds is Truncation:
             trunc = obj
         else:
             steps.append(obj)
 
-    try:
-        return Program(trunc, tuple(steps))
-    except ValueError as exc:
-        raise ParseError(str(exc), len(lines) or 1) from None
+    return Program(trunc, tuple(steps))
 
 
 def step_keyword(step) -> str:

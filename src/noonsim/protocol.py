@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -89,27 +89,40 @@ Step = Union[Prepare, SidebandPulse, Rotate, MeasureQubit]
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    step_index: int
-    outcome: str
-    probability: float
+class StepRecord:
+    """What one step of a run reports; a field that does not apply is None.
+
+    ``state`` follows the step; ``leakage`` is what a pulse left in the guard
+    band.  An auto-timed pulse adds its solved ``duration`` and predicted
+    ``timing_infidelity``, a measurement its ``outcome`` and ``probability``.
+    """
+
+    index: int
+    state: HybridState
+    leakage: float
+    duration: float | None = None
+    timing_infidelity: float | None = None
+    outcome: str | None = None
+    probability: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    """Per-step snapshots plus measurement and timing diagnostics."""
+    """The records of a run, one per step in program order."""
 
-    snapshots: list[tuple[int, HybridState, float]]
-    measurements: list[MeasurementRecord]
-    final_state: HybridState
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    steps: tuple[StepRecord, ...]
+
+    @property
+    def final_state(self) -> HybridState:
+        return self.steps[-1].state
+
+    @property
+    def measurements(self) -> list[StepRecord]:
+        return [rec for rec in self.steps if rec.outcome is not None]
 
     @property
     def postselect_probability(self) -> float:
-        p = 1.0
-        for m in self.measurements:
-            p *= m.probability
-        return p
+        return math.prod((m.probability for m in self.measurements), start=1.0)
 
 
 def solve_duration(
@@ -260,12 +273,12 @@ def run_sequence(
     outcome_override: str | None = None,
     leakage_limit: float = 1e-6,
 ) -> RunResult:
-    """Execute a pulse program step by step.
+    """Execute a pulse program step by step, one ``StepRecord`` per step.
 
     Measurements project onto the requested qubit level (or the override),
-    record the branch probability, and renormalize.  A snapshot (state,
-    guard-band leakage) is stored after every step.  Leakage above
-    ``leakage_limit`` raises; pass ``math.inf`` to disable the check.
+    record the branch probability, and renormalize.  Every record keeps its
+    state.  Leakage above ``leakage_limit`` raises; pass ``math.inf`` to
+    disable the check.
     """
     if not steps or not isinstance(steps[0], Prepare):
         raise ValueError("a sequence must start with a Prepare step")
@@ -273,37 +286,32 @@ def run_sequence(
         raise ValueError("Prepare may only appear as the first step")
 
     state = basis_state(steps[0].q, steps[0].nx, steps[0].ny, trunc)
-    snapshots: list[tuple[int, HybridState, float]] = [(0, state, 0.0)]
-    measurements: list[MeasurementRecord] = []
-    diagnostics: dict[str, float] = {}
+    records = [StepRecord(0, state, 0.0)]
 
     for i, step in enumerate(steps[1:], start=1):
-        leakage = 0.0
         if isinstance(step, SidebandPulse):
             spec, timing_infid = resolve_duration(step.spec)
-            if not isinstance(step.spec.duration, (int, float)):
-                diagnostics[f"step{i}_resolved_duration"] = float(spec.duration)
-                diagnostics[f"step{i}_timing_infidelity"] = timing_infid
             state, leakage = apply_pulse(state, spec)
             if leakage > leakage_limit:
                 raise PhysicsError(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "
                     f"{leakage_limit:.3e}; increase the truncation"
                 )
+            rec = StepRecord(i, state, leakage)
+            if not isinstance(step.spec.duration, (int, float)):
+                rec = replace(rec, duration=float(spec.duration), timing_infidelity=timing_infid)
         elif isinstance(step, Rotate):
             state = apply_rotation(state, step.spec)
+            rec = StepRecord(i, state, 0.0)
         elif isinstance(step, MeasureQubit):
             outcome = outcome_override or step.outcome
-            p_g, p_e = state.qubit_populations()
-            diagnostics[f"step{i}_p_g"] = p_g
-            diagnostics[f"step{i}_p_e"] = p_e
             state, prob = _measure(state, outcome)
-            measurements.append(MeasurementRecord(i, outcome, prob))
+            rec = StepRecord(i, state, 0.0, outcome=outcome, probability=prob)
         else:
             raise ValueError(f"unknown step {step!r}")
-        snapshots.append((i, state, leakage))
+        records.append(rec)
 
-    return RunResult(snapshots, measurements, state, diagnostics)
+    return RunResult(tuple(records))
 
 
 DEFAULT_ETA = 0.2
@@ -362,16 +370,20 @@ class NoonFidelity:
     fidelity_chi_pi: float
 
 
+def qubit_level(state: HybridState) -> str | None:
+    """The qubit level holding all but 1e-9 of the state's norm, or None."""
+    p_g, p_e = state.qubit_populations()
+    if min(p_g, p_e) > 1e-9 * (p_g + p_e):
+        return None
+    return "g" if p_g >= p_e else "e"
+
+
 def mode_amplitudes(state: HybridState) -> np.ndarray:
     """Mode-part amplitudes of a state with a definite qubit level."""
-    p_g, p_e = state.qubit_populations()
-    total = p_g + p_e
-    if min(p_g, p_e) > 1e-9 * total:
-        raise ValueError(
-            "state has support on both qubit levels; measure or project first"
-        )
-    idx = QUBIT_INDEX["g"] if p_g >= p_e else QUBIT_INDEX["e"]
-    return state.amp[idx] / math.sqrt(total)
+    level = qubit_level(state)
+    if level is None:
+        raise ValueError("state has support on both qubit levels; measure or project first")
+    return state.amp[QUBIT_INDEX[level]] / math.sqrt(sum(state.qubit_populations()))
 
 
 def noon_fidelity(state: HybridState, n: int) -> NoonFidelity:

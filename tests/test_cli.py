@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from noonsim.cli import main
+from noonsim import cli, parse, run_sequence
+from noonsim.cli import main, result_document
 
 NOON8_PP = Path(__file__).resolve().parent.parent / "demos" / "noon8.pp"
 
@@ -20,7 +21,7 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "g")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["diagnostics"]["noon_best_fidelity"] >= 0.999
         assert doc["diagnostics"]["postselect_probability"] == pytest.approx(0.5, abs=1e-3)
 
@@ -99,6 +100,59 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(prog))
         assert code == 3
         assert json.loads(err)["error"] == "physics"
+
+    def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
+        code, out, _ = run_cli(capsys, "run", str(NOON8_PP))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["schema_version"] == 2
+        assert not [key for key in doc["diagnostics"] if key.startswith("step")]
+        for rec in doc["steps"][5:7]:
+            assert rec["duration"] == 481.91809868332035
+            assert rec["timing_infidelity"] == 9.752225993420183e-08
+        assert [rec["step"] for rec in doc["steps"] if "duration" in rec] == [1, 3, 5, 6]
+        assert [rec["step"] for rec in doc["steps"] if "outcome" in rec] == [8]
+
+    @pytest.mark.parametrize("command", [["run"], ["scan", "--step", "0", "--t-min", "0",
+                                                   "--t-max", "1"]])
+    def test_program_without_steps_is_a_parse_error(self, capsys, tmp_path, command):
+        prog = tmp_path / "empty.pp"
+        prog.write_text("set nmax_x=12 nmax_y=12 guard=4\n")
+        code, out, err = run_cli(capsys, command[0], str(prog), *command[1:])
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 2, 1)
+
+    def test_fock_index_outside_the_truncation_is_a_parse_error(self, capsys, tmp_path):
+        prog = tmp_path / "big.pp"
+        prog.write_text("set nmax_x=12 nmax_y=12 guard=4\nprepare q=e nx=99 ny=0\n")
+        code, _, err = run_cli(capsys, "run", str(prog))
+        assert code == 2
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 2, 13)
+
+
+class TestResultDocument:
+    def document(self, text):
+        program = parse(text)
+        return result_document(program, run_sequence(list(program.steps), program.trunc))
+
+    def test_measured_run_is_scored(self):
+        diagnostics = self.document(NOON8_PP.read_text())["diagnostics"]
+        assert diagnostics["noon_n"] == 8.0
+        assert diagnostics["noon_best_fidelity"] >= 0.999
+
+    def test_run_ending_in_a_qubit_superposition_is_not_scored(self):
+        doc = self.document("prepare q=g nx=0 ny=0\nrotate theta=pi/2 phi=0\n")
+        assert json.dumps(doc["diagnostics"]) == '{"postselect_probability": 1.0}'
+
+    def test_value_error_inside_the_scoring_is_not_swallowed(self, monkeypatch):
+        def broken(state, n):
+            raise ValueError("scoring bug")
+
+        monkeypatch.setattr(cli, "noon_fidelity", broken)
+        with pytest.raises(ValueError, match="scoring bug"):
+            self.document(NOON8_PP.read_text())
 
 
 class TestScan:

@@ -180,6 +180,31 @@ class TestParseErrors:
         assert (err.value.line, err.value.col) == (lineno, len(before) + 2)
         assert repr(bad) in str(err.value) or "horizon" in str(err.value)
 
+    def test_first_step_that_is_not_a_prepare_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse("rotate theta=1 phi=1\nmeasure q=e\n\n# end\n")
+        assert (err.value.line, err.value.col) == (1, 1)
+        assert "prepare" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line, col",
+        [
+            ("prepare q=e nx=99 ny=0", 13),
+            ("prepare q=e nx=-1 ny=0", 13),
+            ("prepare q=e nx=0 ny=13", 18),
+            ("  prepare q=g ny=-2 nx=12", 15),
+        ],
+    )
+    def test_fock_index_outside_the_truncation_names_its_key(self, line, col):
+        with pytest.raises(ParseError) as err:
+            parse("set nmax_x=12 nmax_y=12 guard=4\n# comment\n" + line + "\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "outside the truncation" in str(err.value)
+
+    def test_fock_index_at_the_truncation_edge_parses(self):
+        program = parse("set nmax_x=12 nmax_y=14 guard=4\nprepare q=e nx=12 ny=14\n")
+        assert program.steps == (Prepare("e", 12, 14),)
+
     def test_bad_truncation_names_its_set_line(self):
         text = VALID.replace("guard=4", "guard=99")
         with pytest.raises(ParseError) as err:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 
@@ -27,7 +28,8 @@ from noonsim import (
 )
 from noonsim.fock import HybridState, basis_state
 from noonsim.dynamics import rabi_frequencies
-from noonsim.protocol import mode_amplitudes, resolve_duration, solve_duration
+from noonsim.protocol import mode_amplitudes, qubit_level, resolve_duration, solve_duration
+from conftest import random_program
 
 TRUNC = Truncation(12, 12, 4)
 SQRT24 = math.sqrt(24.0)
@@ -243,8 +245,7 @@ class TestRunSequence:
             MeasureQubit("e"),
         ]
         result = run_sequence(steps, TRUNC)
-        p_g = result.diagnostics["step2_p_g"]
-        p_e = result.diagnostics["step2_p_e"]
+        p_g, p_e = result.steps[1].state.qubit_populations()  # before the measurement
         assert p_g + p_e == pytest.approx(1.0, abs=1e-12)
         assert result.measurements[0].probability == pytest.approx(0.5)
 
@@ -273,18 +274,86 @@ class TestRunSequence:
             run_sequence(steps, TRUNC, leakage_limit=1e-12)
 
 
+@pytest.fixture(scope="module")
+def random_runs():
+    """(program, result) for seeded random programs that run to the end."""
+    rng = random.Random(11)
+    runs = []
+    for _ in range(300):
+        program = random_program(rng)
+        try:
+            result = run_sequence(list(program.steps), program.trunc, leakage_limit=math.inf)
+        except PhysicsError:  # a measurement branch of zero probability
+            continue
+        runs.append((program, result))
+    assert len(runs) >= 200
+    return runs
+
+
+class TestStepRecords:
+    def test_one_record_per_step_ending_in_the_final_state(self, random_runs):
+        for program, result in random_runs:
+            assert [rec.index for rec in result.steps] == list(range(len(program.steps)))
+            assert result.final_state is result.steps[-1].state
+
+    def test_outcome_and_probability_exactly_on_measurements(self, random_runs):
+        for program, result in random_runs:
+            for step, rec in zip(program.steps, result.steps):
+                measured = isinstance(step, MeasureQubit)
+                assert (rec.outcome is not None, rec.probability is not None) == (measured,) * 2
+                if measured:
+                    assert rec.outcome == step.outcome
+                    assert rec.leakage == 0.0
+
+    def test_duration_and_timing_infidelity_exactly_on_auto_timed_pulses(self, random_runs):
+        for program, result in random_runs:
+            for step, rec in zip(program.steps, result.steps):
+                auto = isinstance(step, SidebandPulse) and not isinstance(
+                    step.spec.duration, (int, float)
+                )
+                assert (rec.duration is not None, rec.timing_infidelity is not None) == (auto,) * 2
+                if auto:
+                    spec, infid = resolve_duration(step.spec)
+                    assert (rec.duration, rec.timing_infidelity) == (spec.duration, infid)
+
+    def test_leakage_is_what_the_pulse_left_in_the_guard_band(self, random_runs):
+        leaked = 0
+        for program, result in random_runs:
+            for step, before, rec in zip(program.steps[1:], result.steps, result.steps[1:]):
+                if isinstance(step, SidebandPulse):
+                    state, leakage = apply_pulse(before.state, resolve_duration(step.spec)[0])
+                    assert rec.leakage == leakage
+                    assert np.array_equal(rec.state.amp, state.amp)
+                    leaked += leakage > 1e-6
+                else:
+                    assert rec.leakage == 0.0
+        assert leaked > 0
+
+    def test_postselect_probability_is_the_product_of_the_probabilities(self, random_runs):
+        measured = 0
+        for program, result in random_runs:
+            p = 1.0
+            for rec in result.steps:
+                if rec.probability is not None:
+                    p *= rec.probability
+                    measured += 1
+            assert result.postselect_probability == p
+            assert result.measurements == [rec for rec in result.steps if rec.outcome]
+        assert measured > 0
+
+
 class TestCanonicalProtocol:
     steps = build_noon8(1.0, 1.0, 1000)
 
     def test_intermediate_fock_product(self):
         result = run_sequence(self.steps, TRUNC, outcome_override="e")
-        _, state, _ = result.snapshots[4]  # after the second vacuum pulse
+        state = result.steps[4].state  # after the y vacuum pulse and the split
         sector = sum(state.population(q, 4, 4) for q in ("g", "e"))
         assert sector >= 1 - 1e-10
 
     def test_split_after_x_superposition_pulse(self):
         result = run_sequence(self.steps, TRUNC, outcome_override="e")
-        _, state, _ = result.snapshots[5]  # after the x superposition pulse
+        state = result.steps[5].state  # after the x superposition pulse
         assert state.population("e", 0, 4) == pytest.approx(0.5, abs=1e-3)
         assert state.population("g", 8, 4) == pytest.approx(0.5, abs=1e-3)
 
@@ -314,7 +383,7 @@ class TestCanonicalProtocol:
 
     def test_snapshot_leakage_small(self):
         result = run_sequence(self.steps, TRUNC, outcome_override="g")
-        assert all(leakage < 1e-10 for _, _, leakage in result.snapshots)
+        assert all(rec.leakage < 1e-10 for rec in result.steps)
 
 
 class TestNoonTarget:
@@ -363,6 +432,12 @@ class TestNoonFidelity:
     def test_order_outside_the_truncation_rejected(self, n):
         with pytest.raises(PhysicsError, match=f"N = {n} "):
             noon_fidelity(basis_state("g", 8, 0, TRUNC), n)
+
+    def test_qubit_level_allows_a_relative_1e_9_in_the_other_level(self):
+        for p_e, level in [(0.0, "g"), (1e-10, "g"), (1e-8, None), (0.5, None), (1 - 1e-10, "e")]:
+            amp = np.zeros((2, 13, 13), dtype=complex)
+            amp[0, 8, 0], amp[1, 0, 8] = math.sqrt(1 - p_e), math.sqrt(p_e)
+            assert qubit_level(HybridState(amp, TRUNC)) == level
 
     def test_order_at_the_truncation_edge(self):
         assert noon_fidelity(basis_state("g", 12, 0, TRUNC), 12).best_fidelity == 0.5
