@@ -9,8 +9,8 @@ The package is organized in four layers:
   runtime propagator is a pair-rotation kernel on the amplitude tensor:
   each sideband pulse is a set of 2x2 rotations on the pairs
   (|e,n>, |g,n+k>), with the closed and full forms differing only in their
-  table of Rabi frequencies, and a carrier pulse is one 2x2 matrix on the
-  qubit axis.  The dense builders (sideband Hamiltonian, closed-form
+  table of Rabi frequencies, evaluated for a whole duration scan at once,
+  and a carrier pulse is one 2x2 matrix on the qubit axis.  The dense builders (sideband Hamiltonian, closed-form
   four-phonon unitary, eigendecomposition matrix exponential, dense carrier
   rotation) are kept as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
@@ -42,6 +42,7 @@ from .dynamics import (
     expm_oracle,
     carrier_rotation,
     apply_pulse,
+    scan_pulse,
     apply_rotation,
     apply_operator,
 )
@@ -70,8 +71,8 @@ __all__ = [
     "laguerre_assoc", "ladder", "embed", "basis_state",
     "PulseSpec", "RotationSpec", "PhysicsError",
     "coupling_g", "sideband_hamiltonian", "closed_form_unitary",
-    "expm_oracle", "carrier_rotation", "apply_pulse", "apply_rotation",
-    "apply_operator",
+    "expm_oracle", "carrier_rotation", "apply_pulse", "scan_pulse",
+    "apply_rotation", "apply_operator",
     "Prepare", "SidebandPulse", "Rotate", "MeasureQubit",
     "VacuumPi", "SuperpositionPi", "StepRecord", "RunResult",
     "NoonFidelity", "vacuum_pulse_time", "superposition_pulse_time",

@@ -9,14 +9,14 @@ argparse's message naming the flag.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .dynamics import PhysicsError, apply_pulse
+from .dynamics import PhysicsError, scan_pulse
 from .fock import QUBIT_LABELS
 from .program import ParseError, Program, parse, serialize, step_keyword
 from .protocol import SidebandPulse, noon_fidelity, qubit_level, run_sequence
@@ -82,6 +82,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.samples == 1:
+        ts = [args.t_min]
+    else:
+        dt = (args.t_max - args.t_min) / (args.samples - 1)
+        ts = [args.t_min + i * dt for i in range(args.samples)]
+    if not all(map(math.isfinite, ts)):
+        build_parser().error(f"argument --t-max: the grid from --t-min {args.t_min!r} "
+                             f"to {args.t_max!r} overflows")
+
     program = _load_program(args.program)
     if not (0 <= args.step < len(program.steps)):
         raise PhysicsError(f"step index {args.step} out of range")
@@ -93,17 +102,10 @@ def cmd_scan(args) -> int:
     prefix = list(program.steps[: args.step])
     base = run_sequence(prefix, program.trunc, leakage_limit=math.inf).final_state
 
-    if args.samples == 1:
-        ts = [args.t_min]
-    else:
-        dt = (args.t_max - args.t_min) / (args.samples - 1)
-        ts = [args.t_min + i * dt for i in range(args.samples)]
-
+    p_g, p_e, leakage = scan_pulse(base, target.spec, ts)
     lines = ["t,p_e,p_g,leakage"]
-    for t in ts:
-        state, leakage = apply_pulse(base, dataclasses.replace(target.spec, duration=t))
-        p_g, p_e = state.qubit_populations()
-        lines.append(f"{t!r},{p_e!r},{p_g!r},{leakage!r}")
+    lines += [f"{t!r},{pe!r},{pg!r},{lk!r}"
+              for t, pe, pg, lk in zip(ts, p_e.tolist(), p_g.tolist(), leakage.tolist())]
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -153,7 +155,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(EXIT_PARSE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``noonsim`` parser, built once per process and shared: do not modify it."""
     p = _ArgumentParser(
         prog="noonsim", description="Trapped-ion NOON-state pulse-program simulator"
     )

@@ -9,9 +9,15 @@ g_k = Omega * eta^k / k!.  Either way the Hamiltonian only couples the pairs
 (|e, n>, |g, n+k>) of the driven mode, so e^{-iHt} is a direct sum of 2x2
 rotations: cos(Omega_n t) on the diagonal, -i sin(Omega_n t) off it.  The
 two pulse forms differ only in their table of frequencies Omega_n
-(``rabi_frequencies``).  ``apply_pulse`` applies the rotations directly to
-the (2, dx, dy) amplitude tensor, and ``apply_rotation`` applies a carrier
-pulse as one 2x2 matrix on the qubit axis; together they are the runtime
+(``rabi_frequencies``).  One kernel, ``_rotate_pairs``, applies the
+rotations directly to the (2, dx, dy) amplitude tensor for a batch of S
+durations at once, giving (S, 2, dx, dy).  ``apply_pulse`` is its batch of
+one; ``scan_pulse`` builds the frequency table once and sends a duration
+scan through it in chunks of about 2^14 amplitudes, returning only the
+qubit populations and leakage of each sample.  The kernel checks its table
+of phases Omega_n t before taking cos and sin, so an overflowing duration
+is a ``PhysicsError`` naming the pulse.  ``apply_rotation`` applies a
+carrier pulse as one 2x2 matrix on the qubit axis.  These are the runtime
 propagators, and their cost is linear in the number of amplitudes.
 
 The dense dim x dim builders -- ``sideband_hamiltonian``,
@@ -38,6 +44,7 @@ from .fock import (
     QUBIT_INDEX,
     HybridState,
     Truncation,
+    check_normalized,
     laguerre_assoc,
 )
 
@@ -309,23 +316,41 @@ def guard_band_population(state: HybridState, axis: str) -> float:
     return float(np.sum(p[:, :, state.trunc.dim_y - g :]))
 
 
-def _rotate_pairs(amp: np.ndarray, axis: str, k: int, phase: np.ndarray) -> np.ndarray:
-    """Rotate every pair (|e, n>, |g, n+k>) of one mode by its angle phase[n].
+# amplitudes rotated per chunk of scan samples: a few hundred KB of complex128
+_CHUNK_AMPLITUDES = 2**14
 
+
+def _rotate_pairs(amp: np.ndarray, spec: PulseSpec, freq: np.ndarray,
+                  ts: np.ndarray) -> np.ndarray:
+    """Rotate every pair (|e, n>, |g, n+k>) of the driven mode by freq[n] * t, for each t.
+
+    ``amp`` is one (2, dx, dy) tensor, ``freq`` the pulse's Rabi frequencies
+    and ``ts`` a 1-D array of S durations; the result is (S, 2, dx, dy).
     The pair is mapped by [[cos, -i sin], [-i sin, cos]].  Amplitudes without
     a partner inside the mode (|e, n> with n + k above the cutoff, |g, n>
     with n < k) are left fixed, as in ``closed_form_unitary``.
     """
-    e_idx, g_idx = QUBIT_INDEX["e"], QUBIT_INDEX["g"]
-    m = len(phase)
-    c, s = np.cos(phase)[:, None], -1j * np.sin(phase)[:, None]
-    out = amp.copy()
-    # bring the driven mode to axis 1; swapaxes gives views, so writes to o land in out
-    a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = freq * ts[:, None]
+    if not np.isfinite(phase).all():
+        i, n = np.argwhere(~np.isfinite(phase))[0].tolist()
+        raise PhysicsError(
+            f"pulse axis={spec.axis} k={spec.k}: phase Omega_n t = {float(phase[i, n])!r} "
+            f"is not finite at n = {n}, t = {float(ts[i])!r}"
+        )
+    e_idx, g_idx, k, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], spec.k, len(freq)
+    c, s = np.cos(phase)[..., None], -1j * np.sin(phase)[..., None]
+    out = np.repeat(amp[None], len(ts), axis=0)
+    # bring the driven mode next to the qubit; swapaxes gives views, so writes to o land in out
+    a, o = (amp, out) if spec.axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(2, 3))
     e, g = a[e_idx, :m], a[g_idx, k : k + m]
-    o[e_idx, :m] = c * e + s * g
-    o[g_idx, k : k + m] = s * e + c * g
+    o[:, e_idx, :m] = c * e + s * g
+    o[:, g_idx, k : k + m] = s * e + c * g
     return out
+
+
+def _pulse_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
+    return rabi_frequencies(spec, np.arange(_driven_dim(spec, trunc) - spec.k))
 
 
 def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float]:
@@ -339,8 +364,36 @@ def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float
         raise ValueError(
             "apply_pulse needs a numeric duration; resolve auto markers first"
         )
-    d = _driven_dim(spec, state.trunc)
-    phase = rabi_frequencies(spec, np.arange(d - spec.k)) * float(t)
-    amp = _rotate_pairs(state.amp, spec.axis, spec.k, phase)
-    out = HybridState(amp, state.trunc)
+    freq = _pulse_frequencies(spec, state.trunc)
+    out = HybridState(_rotate_pairs(state.amp, spec, freq, np.array([float(t)]))[0], state.trunc)
     return out, guard_band_population(out, spec.axis)
+
+
+def scan_pulse(
+    state: HybridState, spec: PulseSpec, durations
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_g, p_e, leakage) after the pulse for each of ``durations``.
+
+    ``spec.duration`` is ignored.  Equal, bit for bit, to ``apply_pulse``
+    of each duration followed by ``qubit_populations``: the frequency table
+    is built once, and the samples go through ``_rotate_pairs`` in chunks
+    of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
+    ``HybridState`` checks its own and reduced in the same order.
+    """
+    ts = np.asarray(durations, dtype=float)
+    if not np.isfinite(ts).all():
+        _require_finite(duration=float(ts[~np.isfinite(ts)][0]))
+    freq = _pulse_frequencies(spec, state.trunc)
+    top = state.trunc.dim_of(spec.axis) - state.trunc.guard
+    chunk = max(1, _CHUNK_AMPLITUDES // state.amp.size)
+    p_g, p_e, leakage = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
+    for start in range(0, len(ts), chunk):
+        rows = slice(start, start + chunk)
+        amp = _rotate_pairs(state.amp, spec, freq, ts[rows])
+        check_normalized(amp)
+        p = np.abs(amp) ** 2
+        pops = np.sum(p, axis=(2, 3))
+        p_g[rows], p_e[rows] = pops[:, 0], pops[:, 1]
+        guard = p[:, :, top:, :] if spec.axis == "x" else p[:, :, :, top:]
+        leakage[rows] = np.sum(guard, axis=(1, 2, 3))
+    return p_g, p_e, leakage

@@ -77,14 +77,7 @@ class HybridState:
             raise ValueError(
                 f"amplitude shape {self.amp.shape} does not match truncation {expected}"
             )
-        # an elementwise sum, not a BLAS call: np.vdot with several BLAS
-        # threads costs milliseconds per state
-        v = self.amp.view(float)
-        n2 = float(np.add.reduce(v * v, axis=None))
-        if not math.isfinite(n2):
-            raise ValueError("non-finite amplitude")
-        if abs(n2 - 1.0) > 1e-12:
-            raise ValueError(f"state is not normalized: |psi|^2 = {n2}")
+        check_normalized(self.amp)
 
     def ravel(self) -> np.ndarray:
         return self.amp.reshape(-1)
@@ -96,6 +89,22 @@ class HybridState:
         """(P(g), P(e))."""
         p = np.sum(np.abs(self.amp) ** 2, axis=(1, 2))
         return float(p[0]), float(p[1])
+
+
+def check_normalized(amp: np.ndarray) -> None:
+    """Raise ValueError unless each (2, dx, dy) tensor of ``amp`` has squared norm 1.
+
+    ``amp`` is one state's tensor or a stack of them along leading axes;
+    the first failing one is reported.
+    """
+    # an elementwise sum, not a BLAS call: np.vdot with several BLAS
+    # threads costs milliseconds per state
+    v = amp.view(float)
+    for n2 in np.add.reduce(v * v, axis=(-3, -2, -1)).reshape(-1).tolist():
+        if not math.isfinite(n2):
+            raise ValueError("non-finite amplitude")
+        if abs(n2 - 1.0) > 1e-12:
+            raise ValueError(f"state is not normalized: |psi|^2 = {n2}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from noonsim import cli, parse, run_sequence
+from noonsim import cli, dynamics, parse, protocol, run_sequence
+from noonsim.fock import HybridState
 from noonsim.cli import main, result_document
 
 NOON8_PP = Path(__file__).resolve().parent.parent / "demos" / "noon8.pp"
@@ -100,6 +101,15 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(prog))
         assert code == 3
         assert json.loads(err)["error"] == "physics"
+
+    def test_overflowing_phase_is_one_physics_error_line(self, capsys, tmp_path):
+        prog = tmp_path / "long.pp"
+        prog.write_text(NOON8_PP.read_text().replace("t=auto_vacuum_pi", "t=1e308", 1))
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert doc["message"].startswith("pulse axis=x k=4: phase Omega_n t = inf")
 
     def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP))
@@ -237,9 +247,78 @@ class TestScan:
         assert doc["error"] == "usage"
         assert doc["message"].startswith(f"argument {flag}:")
 
+    def test_overflowing_grid_is_a_usage_error_naming_t_max(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", str(NOON8_PP), "--step", "1", "--t-min=-1e308", "--t-max=1e308"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["message"].startswith("argument --t-max:")
+
+    def test_overflowing_phase_is_one_physics_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "scan", str(NOON8_PP), "--step", "1",
+                                 "--t-min", "0", "--t-max", "1e308", "--samples", "3")
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert doc["message"].startswith("pulse axis=x k=4: phase Omega_n t = inf")
+
     def test_step_out_of_range(self, capsys):
         code, _, _ = run_cli(
             capsys, "scan", str(NOON8_PP),
             "--step", "42", "--t-min", "0", "--t-max", "1",
         )
         assert code == 3
+
+
+class TestScanIsBatched:
+    """Structural guards: the cost of a scan sample stays out of the per-state path."""
+
+    def count_calls(self, monkeypatch, *argv):
+        counts = {"rabi_frequencies": 0, "apply_pulse": 0, "qubit_populations": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "rabi_frequencies",
+                      counted("rabi_frequencies", dynamics.rabi_frequencies))
+            for module in (dynamics, protocol, cli):
+                if hasattr(module, "apply_pulse"):
+                    m.setattr(module, "apply_pulse", counted("apply_pulse", module.apply_pulse))
+            m.setattr(HybridState, "qubit_populations",
+                      counted("qubit_populations", HybridState.qubit_populations))
+            assert main(list(argv)) == 0
+        return counts
+
+    def test_scan_of_4000_samples_builds_one_frequency_table(self, capsys, monkeypatch):
+        counts = self.count_calls(monkeypatch, "scan", str(NOON8_PP), "--step", "1",
+                                  "--t-min", "0", "--t-max", "0.7", "--samples", "4000")
+        assert counts == {"rabi_frequencies": 1, "apply_pulse": 0, "qubit_populations": 0}
+        assert len(capsys.readouterr().out.splitlines()) == 4001
+
+    def test_scan_cost_outside_the_kernel_does_not_grow_with_samples(self, capsys, monkeypatch):
+        argv = ["scan", str(NOON8_PP), "--step", "5", "--t-min", "0", "--t-max", "700"]
+        one = self.count_calls(monkeypatch, *argv, "--samples", "1")
+        many = self.count_calls(monkeypatch, *argv, "--samples", "4000")
+        assert many == one
+        assert one["apply_pulse"] == 2  # the two pulses of the prefix
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_after_a_run_is_one_json_line(self, capsys):
+        assert main(["run", str(NOON8_PP)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(NOON8_PP), "--noon-n", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"].startswith("argument --noon-n:")
+        assert main(["run", str(NOON8_PP), "--outcome", "g"]) == 0

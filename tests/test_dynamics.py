@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noonsim import (
     PhysicsError,
@@ -23,8 +24,10 @@ from noonsim import (
     ladder,
     noon_fidelity,
     run_sequence,
+    scan_pulse,
     sideband_hamiltonian,
 )
+from noonsim import dynamics
 from noonsim.dynamics import (
     closed_form_frequencies,
     guard_band_population,
@@ -385,6 +388,84 @@ class TestPairRotationKernel:
             assert large.postselect_probability == pytest.approx(
                 small.postselect_probability, abs=1e-12
             )
+
+
+class TestScanPulse:
+    """The batched scan against one ``apply_pulse`` per sample, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_apply_pulse_per_sample(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        # at least 6, so that one chunk holds at most a few hundred samples
+        n_max_x = data.draw(st.integers(max(k + 1, 6), 14), label="n_max_x")
+        n_max_y = data.draw(st.integers(max(k + 1, 6), 14).filter(lambda n: n != n_max_x),
+                            label="n_max_y")
+        guard = data.draw(st.one_of(st.just(0), st.integers(k, min(n_max_x, n_max_y))),
+                          label="guard")
+        trunc = Truncation(n_max_x, n_max_y, guard)
+        spec = PulseSpec(
+            data.draw(st.sampled_from("xy"), label="axis"), k,
+            data.draw(st.floats(0.01, 0.9), label="eta"),
+            data.draw(st.floats(0.1, 50.0), label="omega"),
+            0.0, data.draw(st.sampled_from(["closed", "full"]), label="form"),
+        )
+        state = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), trunc)
+        # sample counts on both sides of one and two chunks
+        chunk = dynamics._CHUNK_AMPLITUDES // state.amp.size
+        count = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]),
+                          label="samples")
+        t0, t1 = data.draw(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+        ts = np.linspace(t0, t1, count)
+
+        if guard < k:
+            with pytest.raises(PhysicsError) as one:
+                apply_pulse(state, spec)
+            with pytest.raises(PhysicsError) as batch:
+                scan_pulse(state, spec, ts)
+            assert str(batch.value) == str(one.value)
+            return
+
+        p_g, p_e, leakage = scan_pulse(state, spec, ts)
+        freq = rabi_frequencies(spec, np.arange(trunc.dim_of(spec.axis) - k))
+        amps = dynamics._rotate_pairs(state.amp, spec, freq, ts)
+        rows = []
+        for i, t in enumerate(ts.tolist()):
+            out, leak = apply_pulse(state, dataclasses.replace(spec, duration=t))
+            assert np.array_equal(amps[i], out.amp)
+            rows.append((*out.qubit_populations(), leak))
+        assert list(zip(p_g.tolist(), p_e.tolist(), leakage.tolist())) == rows
+
+    def test_spec_duration_is_ignored(self):
+        state = basis_state("e", 0, 0, TRUNC)
+        p_g, p_e, leakage = scan_pulse(state, closed_spec(t=VacuumPi()), [0.0])
+        assert (p_g.tolist(), p_e.tolist(), leakage.tolist()) == ([0.0], [1.0], [0.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration(self, value):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            scan_pulse(basis_state("e", 0, 0, TRUNC), closed_spec(), [0.1, value, 0.2])
+
+    @pytest.mark.parametrize("scale", [2.0, math.nan])
+    def test_each_sample_is_checked_as_a_hybrid_state(self, scale):
+        state = basis_state("e", 0, 0, TRUNC)
+        bad = state.amp * scale
+        with pytest.raises(ValueError) as direct:
+            HybridState(bad, TRUNC)
+        state.amp[...] = bad  # past the constructor's check
+        with pytest.raises(ValueError) as batch:
+            scan_pulse(state, closed_spec(), [0.0, 0.1])
+        assert str(batch.value) == str(direct.value)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_phase_names_the_pulse(self, axis):
+        # Omega_n t overflows to inf; cos / sin of it would warn and give nan
+        state = basis_state("e", 0, 0, TRUNC)
+        message = f"pulse axis={axis} k=4: phase Omega_n t = inf is not finite at n = 0"
+        with pytest.raises(PhysicsError, match=message):
+            apply_pulse(state, closed_spec(axis, t=1e308))
+        with pytest.raises(PhysicsError, match=message):
+            scan_pulse(state, closed_spec(axis), [0.0, 1e308])
 
 
 class TestNonFiniteInput:

@@ -11,6 +11,7 @@ from noonsim import (
     ladder,
     laguerre_assoc,
 )
+from noonsim.fock import check_normalized
 
 
 class TestLaguerre:
@@ -124,6 +125,14 @@ class TestHybridState:
         amp[1, 4, 4] = bad
         with pytest.raises(ValueError, match="non-finite"):
             HybridState(amp, Truncation(4, 4, 1))
+
+    def test_stack_reports_its_first_bad_state(self):
+        good = basis_state("g", 1, 2, Truncation(4, 4, 1)).amp
+        check_normalized(np.stack([good, good, good]))
+        with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = 4.0$"):
+            check_normalized(np.stack([good, 2 * good, np.nan * good]))
+        with pytest.raises(ValueError, match="^non-finite amplitude$"):
+            check_normalized(np.stack([good, np.nan * good, 2 * good]))
 
     def test_basis_state_outside_truncation(self):
         with pytest.raises(ValueError):
