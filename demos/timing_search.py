@@ -6,7 +6,10 @@ Their ratio sqrt(70) is irrational, so no duration is exact for both.
 Of the candidates t_m = (2m + 3/2) pi / (sqrt(24) g), m = 0..M, which are
 exact for the first transition, the engine takes the one that best hits
 the second.  It finds that candidate by an exact best-approximation
-search whose cost grows as log(M), so large horizons are cheap.
+search that walks runs of evenly spaced record candidates, one look-up
+per run in a table of Euclid steps, and evaluates only the last 16
+records of each run in floating point.  The tests count at most log_phi(M) + 2 runs (phi the
+golden ratio), so large horizons are cheap.
 
 This script shows how the predicted timing infidelity and the end-to-end
 NOON fidelity improve as the search horizon grows.

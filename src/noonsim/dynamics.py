@@ -12,7 +12,9 @@ two pulse forms differ only in their table of frequencies Omega_n
 (``rabi_frequencies``).  One kernel, ``_rotate_pairs``, applies the
 rotations directly to the (2, dx, dy) amplitude tensor for a batch of S
 durations at once, giving (S, 2, dx, dy).  ``apply_pulse`` is its batch of
-one; ``scan_pulse`` builds the frequency table once and sends a duration
+one, ``apply_pulse_table`` the same from a table the caller built with
+``pulse_frequencies`` (the protocol engine solves auto durations from it
+too); ``scan_pulse`` builds the frequency table once and sends a duration
 scan through it in chunks of about 2^14 amplitudes, returning only the
 qubit populations and leakage of each sample.  The kernel checks its table
 of phases Omega_n t before taking cos and sin, so an overflowing duration
@@ -204,13 +206,16 @@ def closed_form_frequencies(g: float, k: int, n) -> np.ndarray:
     """k-phonon Rabi frequencies g sqrt((n+k)(n+k-1)...(n+1)) in the Lamb-Dicke limit.
 
     The product is taken left to right from (n+k), so for k = 4 the values
-    are bit-identical to g * sqrt((n+4)(n+3)(n+2)(n+1)).
+    are bit-identical to g * sqrt((n+4)(n+3)(n+2)(n+1)).  A value beyond
+    the float range is inf, without a warning; the kernel's phase check and
+    the duration solver report it.
     """
     n = np.asarray(n, dtype=float)
-    prod = n + float(k)
-    for j in range(k - 1, 0, -1):
-        prod = prod * (n + float(j))
-    return g * np.sqrt(prod)
+    with np.errstate(over="ignore"):
+        prod = n + float(k)
+        for j in range(k - 1, 0, -1):
+            prod = prod * (n + float(j))
+        return g * np.sqrt(prod)
 
 
 def rabi_frequencies(spec: PulseSpec, n) -> np.ndarray:
@@ -349,8 +354,17 @@ def _rotate_pairs(amp: np.ndarray, spec: PulseSpec, freq: np.ndarray,
     return out
 
 
-def _pulse_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
-    return rabi_frequencies(spec, np.arange(_driven_dim(spec, trunc) - spec.k))
+def pulse_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
+    """The pulse's table: Omega_n for n = 0 .. max(d - k, k + 1) - 1.
+
+    d is the dimension of the driven mode, checked first.  The kernel
+    rotates the d - k pairs (|e, n>, |g, n+k>) inside the mode with the head
+    of the table, and an auto duration is solved from Omega_0 and Omega_k,
+    which the table holds even when the mode is too small for the pair at
+    n = k.
+    """
+    d = _driven_dim(spec, trunc)
+    return rabi_frequencies(spec, np.arange(max(d - spec.k, spec.k + 1)))
 
 
 def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float]:
@@ -359,13 +373,20 @@ def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float
     ``spec.duration`` must already be numeric; symbolic auto durations are
     resolved by the protocol engine.
     """
-    t = spec.duration
-    if not isinstance(t, (int, float)):
+    if not isinstance(spec.duration, (int, float)):
         raise ValueError(
             "apply_pulse needs a numeric duration; resolve auto markers first"
         )
-    freq = _pulse_frequencies(spec, state.trunc)
-    out = HybridState(_rotate_pairs(state.amp, spec, freq, np.array([float(t)]))[0], state.trunc)
+    return apply_pulse_table(state, spec, pulse_frequencies(spec, state.trunc))
+
+
+def apply_pulse_table(
+    state: HybridState, spec: PulseSpec, freq: np.ndarray
+) -> tuple[HybridState, float]:
+    """``apply_pulse`` with its table ``pulse_frequencies(spec, state.trunc)`` already built."""
+    pairs = freq[: state.trunc.dim_of(spec.axis) - spec.k]
+    amp = _rotate_pairs(state.amp, spec, pairs, np.array([float(spec.duration)]))
+    out = HybridState(amp[0], state.trunc)
     return out, guard_band_population(out, spec.axis)
 
 
@@ -383,7 +404,7 @@ def scan_pulse(
     ts = np.asarray(durations, dtype=float)
     if not np.isfinite(ts).all():
         _require_finite(duration=float(ts[~np.isfinite(ts)][0]))
-    freq = _pulse_frequencies(spec, state.trunc)
+    freq = pulse_frequencies(spec, state.trunc)[: state.trunc.dim_of(spec.axis) - spec.k]
     top = state.trunc.dim_of(spec.axis) - state.trunc.guard
     chunk = max(1, _CHUNK_AMPLITUDES // state.amp.size)
     p_g, p_e, leakage = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))

@@ -12,15 +12,19 @@ durations matter:
   exactly.  Of the candidates t_m = (2m + 3/2) pi / (sqrt(24) g),
   m = 0..M, which are exact for the first transition, we take the one that
   best hits the second.  An exact best-approximation search on the
-  rational ratio of the two frequencies finds it in O(log M) integer steps
-  with no O(M) array (``solve_duration``).  The residual is reported, not
-  hidden.
+  rational ratio of the two frequencies walks the records (the candidates
+  nearer than every earlier one) in runs of evenly spaced records, one
+  look-up per run in a table of Euclid steps built once, with no O(M) array
+  (``solve_duration``).  Tests count at most log_phi(M) + 2 runs, phi the
+  golden ratio.  Only the last 16 records of each run are evaluated in
+  floating point.  The residual is reported, not hidden.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -31,11 +35,15 @@ from .dynamics import (
     PhysicsError,
     PulseSpec,
     RotationSpec,
-    apply_pulse,
+    apply_pulse_table,
     apply_rotation,
     closed_form_frequencies,
+    pulse_frequencies,
     rabi_frequencies,
 )
+
+# records evaluated in floating point at the end of each run of the duration search
+_RUN_TAIL = 16
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,10 @@ class SuperpositionPi:
     """Best duration within the horizon for the simultaneous |g,k>/|e,k> transfer.
 
     Chosen among the ``horizon + 1`` candidates t_m = (2m + 3/2) pi / w_vac,
-    m = 0..horizon, by an exact search whose cost grows as log(horizon)
-    (``solve_duration``).
+    m = 0..horizon, by an exact search that walks runs of evenly spaced
+    records, one table look-up each, at most log_phi(horizon) + 2 runs as
+    counted in tests; only the last 16 records of each run are evaluated in
+    floating point (``solve_duration``).
     """
 
     horizon: int = 1000
@@ -135,12 +145,22 @@ def solve_duration(
     choice).  ``VacuumPi`` gives the exact pi / (2 w_vac).
     ``SuperpositionPi(M)`` gives a candidate t_m = (2m + 3/2) pi / w_vac,
     m = 0..M; each has sin^2(w_vac t_m) = 1, so its infidelity is
-    1 - sin^2(w_super t_m).  Of the records (``_records``) it keeps the one
-    with the lowest infidelity as evaluated in floating point, the smallest
-    m among ties.  Below a horizon of about 1e8 that is the exact best
-    candidate; beyond it the rounding of t can outweigh the gain of a later
-    record, and keeping the earlier one means a larger horizon never gives
-    a worse pulse.
+    1 - sin^2(w_super t_m).
+
+    Float rule: of the records within the horizon (``_runs``), the last 16
+    (``_RUN_TAIL``) of each run, or all of a shorter run, get a float
+    evaluation, and the one with the lowest infidelity wins, the smallest m
+    among ties.  In exact arithmetic each record of a run is nearer than the
+    one before it, so the last record of all, which is always evaluated, is
+    the exact best candidate; where the floats keep the exact order, as for
+    the sqrt(70) of NOON-8 below a horizon of 1e7 to 1e10, depending on the
+    coupling, that is the result.  Beyond it the rounding of t (about
+    ulp(t) w_super in phase) can outweigh what a later record gains, and an
+    earlier record that rounds better is kept.  Where no run within the
+    horizon is longer than 16, every record is evaluated, and a larger
+    horizon never gives a worse pulse.  A longer run, as near a rational
+    ratio with a small denominator, whose records can tie to 1e-11, has its
+    earlier records skipped.
     """
     if not (math.isfinite(w_vac) and math.isfinite(w_super)):
         raise ValueError(f"Rabi frequencies must be finite, got {w_vac!r} and {w_super!r}")
@@ -149,30 +169,73 @@ def solve_duration(
     if isinstance(marker, VacuumPi):
         return math.pi / (2.0 * w_vac), 0.0
     if isinstance(marker, SuperpositionPi):
+        runs, descents = _runs(w_vac, w_super, marker.horizon)
         best = None
-        for m in _records(w_vac, w_super, marker.horizon):
-            t = (2.0 * m + 1.5) * math.pi / w_vac
-            s = float(np.sin(w_super * t))
-            infid = 1.0 - s * s
-            if best is None or infid < best[1]:
-                best = (t, infid)
-        return best
+        for first, step, count in runs:
+            for j in range(max(0, count - _RUN_TAIL), count):
+                m = first + j * step
+                t = (2.0 * m + 1.5) * math.pi / w_vac
+                s = float(np.sin(w_super * t))
+                infid = 1.0 - s * s
+                if best is None or infid < best[2]:
+                    best = (m, t, infid)
+        m, t, infid = best
+        _debug(
+            "superposition pulse, horizon %d: %d runs, %d descents, m = %d, infidelity %.3e",
+            marker.horizon, len(runs), descents, m, infid,
+        )
+        return t, infid
     raise ValueError(f"unknown duration marker {marker!r}")
 
 
-def _records(w_vac: float, w_super: float, horizon: int):
-    """The records of the candidates up to the horizon, in increasing order.
+def _debug(msg: str, *args) -> None:
+    """Log at DEBUG on the ``noonsim.protocol`` logger, without importing ``logging``.
+
+    The import costs a process about 7 ms and 0.3 MB; a program that has not
+    imported ``logging`` cannot have enabled the logger either.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
+
+
+def _runs(
+    w_vac: float, w_super: float, horizon: int
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The records up to the horizon as runs (first, step, count), and the descents made.
 
     With r = w_super / w_vac, sin^2(w_super t_m) = cos^2(pi D_m), where D_m
     is the distance of 2 r m + (3r - 1)/2 to the nearest integer.  Taking r
     as the exact rational p / q of the two floats makes this integer
-    arithmetic: D_m = min(v_m, c - v_m) / c with v_m = (a m + b) mod c,
-    c = 2q, a = 4p, b = 3p - q.  A record is an m where D_m drops below
-    every earlier value, so m = 0 is the first; the next record is the
-    first m after the current one whose v_m lies within the current
-    distance of 0, which ``_first_at_most`` finds in O(log c) steps.  The
-    walk stops at the first record beyond the horizon, so no O(horizon)
-    work or memory is needed.
+    arithmetic: D_m = |s_m| / c with the signed distance s_m = v_m if
+    2 v_m <= c, else v_m - c, where v_m = (a m + b) mod c, c = 2q, a = 4p,
+    b = 3p - q.  A record is an m where |s_m| drops below every earlier
+    value, so m = 0 is the first.
+
+    From a record r0 the next one, r1 = r0 + d, is the first m after it
+    with |s_m| < |s_r0|: d is the first step whose a d mod c lies in
+    [1, 2|s_r0| - 1] if s_r0 < 0, or in [c - 2|s_r0| + 1, c - 1] if
+    s_r0 > 0.  That is a descent, and ``_nearer_steps`` answers it from one
+    table for the whole walk.  Each step of d adds the same a d mod c to v,
+    so if s_r0 and s_r1 have the same sign it lowers |s| by the same
+    delta = |s_r0| - |s_r1|.  No m strictly between r1 and r1 + d is a
+    record either: m - d lies between r0 and r1, so it is no nearer than r0,
+    and the step brings it at most delta nearer.  By the same argument one
+    step on, the records run on at r1 + d, r1 + 2d, ... as long as |s|
+    keeps dropping, J = floor((2 |s_r1| + delta - 1) / (2 delta)) more of
+    them, of which only the last can cross to the other sign.  The run
+    (r1, d, 1 + J) costs one descent and one division, cut at the horizon,
+    and the walk descends again from its last member.  If the signs differ
+    the run is r1 alone.  The walk stops at an exact hit (s = 0), or when
+    the next record is beyond the horizon or does not exist.
+
+    The number of runs is counted in tests, not proven: over random, golden,
+    integer and near-rational ratios each run starts at least as far out as
+    the sum of the last members of the two runs before it, so the runs grow
+    like the Fibonacci numbers and at most log_phi(M) + 2 of them, phi the
+    golden ratio, start within a horizon M.  The table costs one Euclid
+    division per block, and a descent only moves forward through it, since
+    |s_r0| falls from one descent to the next.
     """
     p_super, q_super = w_super.as_integer_ratio()
     p_vac, q_vac = w_vac.as_integer_ratio()
@@ -181,40 +244,83 @@ def _records(w_vac: float, w_super: float, horizon: int):
     p, q = p // common, q // common
     c = 2 * q
     a, b = 4 * p % c, (3 * p - q) % c
-    m, v = 0, b
-    dist = min(v, c - v)
-    yield m
-    while dist > 0:
-        # min(v, c - v) < dist  <=>  (v + dist - 1) mod c <= 2 dist - 2
-        step = _first_at_most(a, (a * (m + 1) + b + dist - 1) % c, c, 2 * dist - 2)
-        if step is None or m + 1 + step > horizon:
-            return
-        m += 1 + step
+    sides, at = _nearer_steps(a, c, horizon), [0, 0]
+    m, s = 0, (b if 2 * b <= c else b - c)
+    runs, descents = [(0, 1, 1)], 0
+    while s:
+        dist = abs(s)
+        w = 2 * dist - 1
+        descents += 1
+        # s > 0 needs a step from above, s < 0 one from below
+        blocks, i = sides[s > 0], at[s > 0]
+        while i < len(blocks) and blocks[i][4] > w:
+            i += 1
+        at[s > 0] = i
+        if i == len(blocks):
+            break
+        x0, dx, r0, dr, _ = blocks[i]
+        step = x0 + max(0, -(-(r0 - w) // dr)) * dx
+        if m + step > horizon:
+            break
+        m += step
         v = (a * m + b) % c
-        dist = min(v, c - v)
-        yield m
+        s_next = v if 2 * v <= c else v - c
+        more = 0
+        if (s_next > 0) == (s > 0):
+            delta = dist - abs(s_next)
+            more = (2 * abs(s_next) + delta - 1) // (2 * delta)
+            room = (horizon - m) // step
+            if more > room:
+                runs.append((m, step, 1 + room))
+                break
+        runs.append((m, step, 1 + more))
+        m += more * step
+        s = s_next + more * (s_next - s)
+    return runs, descents
 
 
-def _first_at_most(a: int, b: int, c: int, w: int) -> int | None:
-    """Smallest x >= 0 with (a x + b) mod c <= w, or None if there is none.
+def _nearer_steps(a: int, c: int, horizon: int) -> tuple[list, list]:
+    """The steps x >= 1 that bring a x mod c nearer to 0 than every shorter step does.
 
-    Requires 0 <= a, b, w < c.  Until a x + b first reaches c the value
-    only grows from b, so either b <= w or the answer lies past a wrap.  If
-    the window is at least a wide, the first wrap lands in it.  Otherwise
-    the y-th wrap (y >= 1) lands in it iff a multiple of a lies in
-    [c y - b, c y - b + w], which is the same question for (c mod a, a):
-    a Euclid step, so the recursion depth is O(log c).
+    Returns (below, above), one list per side, each in increasing x, of
+    blocks (x0, dx, r0, dr, r_last): the steps x0 + j dx, j = 0, 1, ..., have
+    a x = r0 - j dr (below) or a x = -(r0 - j dr) (above) mod c, down to
+    r_last, all above 0.  Requires 0 <= a < c.
+
+    The points (x, r) with r = a x (mod c) form a lattice.  A lower point
+    (x_lo, r_lo) and an upper point (x_hi, -r_hi), r_lo and r_hi > 0, start
+    as its basis (0, c), (1, a - c), the first step above (x = 1 is the
+    first on both sides), and stay a basis when the one with the
+    larger |r| is replaced by their sum (x_lo + x_hi, r_lo - r_hi): the
+    subtractive Euclid algorithm.  A point with 0 < x < x_lo + x_hi is
+    u (x_lo, r_lo) + v (x_hi, -r_hi) with u or v <= 0, so its r is not inside
+    (-r_hi, r_lo): a x mod c lies in [r_lo, c - r_hi].  So the sum is the
+    first step to come nearer than both points, on the side of its sign,
+    and the sums, taken a Euclid quotient at a time, are every nearer step.
+    The table ends at an exact return (r = 0), after which the residues
+    repeat, or at the first block beyond the horizon.
     """
-    if b <= w:
-        return 0
+    below, above = [], []
     if a == 0:
-        return None
-    if w + 1 >= a:
-        return -(-(c - b) // a)
-    y = _first_at_most(c % a, (c + w - b) % a, a, w)
-    if y is None:
-        return None
-    return -(-(c * (y + 1) - b) // a)
+        return below, above
+    above.append((1, 1, c - a, 1, c - a))
+    x_lo, r_lo, x_hi, r_hi = 0, c, 1, c - a
+    while x_lo + x_hi <= horizon:
+        if r_lo > r_hi:
+            q, rem = divmod(r_lo, r_hi)
+            n = q if rem else q - 1
+            if n:
+                below.append((x_lo + x_hi, x_hi, r_lo - r_hi, r_hi, r_lo - n * r_hi))
+            x_lo, r_lo = x_lo + q * x_hi, rem
+        else:
+            q, rem = divmod(r_hi, r_lo)
+            n = q if rem else q - 1
+            if n:
+                above.append((x_hi + x_lo, x_lo, r_hi - r_lo, r_lo, r_hi - n * r_lo))
+            x_hi, r_hi = x_hi + q * x_lo, rem
+        if not rem:
+            break
+    return below, above
 
 
 def vacuum_pulse_time(g: float) -> float:
@@ -236,21 +342,26 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     )
 
 
-def resolve_duration(spec: PulseSpec) -> tuple[PulseSpec, float]:
+def resolve_duration(
+    spec: PulseSpec, freq: np.ndarray | None = None
+) -> tuple[PulseSpec, float]:
     """Replace a symbolic duration by its numeric value.
 
-    The two frequencies come from the table the pulse is propagated with,
-    ``rabi_frequencies`` at n = 0 and n = k: for the full Hamiltonian they
-    carry the exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts
-    would otherwise accumulate over the long superposition pulse.  Returns
-    (resolved spec, predicted infidelity of the timing choice); the latter
-    is 0 for exact durations.
+    The two frequencies are Omega_0 and Omega_k of the table the pulse is
+    propagated with: for the full Hamiltonian they carry the exp(-eta^2/2)
+    and Laguerre corrections, whose O(eta^2) shifts would otherwise
+    accumulate over the long superposition pulse.  ``freq`` is that table,
+    ``pulse_frequencies``, when the caller has built it; without it they
+    come from ``rabi_frequencies`` for n = 0..k, bit for bit the same.
+    Returns (resolved spec, predicted infidelity of the timing choice); the
+    latter is 0 for exact durations.
     """
     d = spec.duration
     if isinstance(d, (int, float)):
         return spec, 0.0
-    w_vac, w_super = rabi_frequencies(spec, [0, spec.k]).tolist()
-    t, infid = solve_duration(d, w_vac, w_super)
+    if freq is None:
+        freq = rabi_frequencies(spec, np.arange(spec.k + 1))
+    t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
     return replace(spec, duration=t), infid
 
 
@@ -275,10 +386,11 @@ def run_sequence(
 ) -> RunResult:
     """Execute a pulse program step by step, one ``StepRecord`` per step.
 
-    Measurements project onto the requested qubit level (or the override),
-    record the branch probability, and renormalize.  Every record keeps its
-    state.  Leakage above ``leakage_limit`` raises; pass ``math.inf`` to
-    disable the check.
+    A sideband pulse builds its table of Rabi frequencies once, and both its
+    duration and its propagation come from it.  Measurements project onto
+    the requested qubit level (or the override), record the branch
+    probability, and renormalize.  Every record keeps its state.  Leakage
+    above ``leakage_limit`` raises; pass ``math.inf`` to disable the check.
     """
     if not steps or not isinstance(steps[0], Prepare):
         raise ValueError("a sequence must start with a Prepare step")
@@ -290,8 +402,9 @@ def run_sequence(
 
     for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, SidebandPulse):
-            spec, timing_infid = resolve_duration(step.spec)
-            state, leakage = apply_pulse(state, spec)
+            freq = pulse_frequencies(step.spec, trunc)
+            spec, timing_infid = resolve_duration(step.spec, freq)
+            state, leakage = apply_pulse_table(state, spec, freq)
             if leakage > leakage_limit:
                 raise PhysicsError(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "

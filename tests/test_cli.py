@@ -111,6 +111,32 @@ class TestRun:
         assert doc["error"] == "physics"
         assert doc["message"].startswith("pulse axis=x k=4: phase Omega_n t = inf")
 
+    @pytest.mark.parametrize("t", ["1", "auto_super_pi(10)"])
+    def test_overflowing_frequency_table_is_one_physics_error_line(self, capsys, tmp_path, t):
+        # g = 0.9e308 is finite, g sqrt(4) at n = 3 is not
+        prog = tmp_path / "strong.pp"
+        prog.write_text("set nmax_x=12 nmax_y=12 guard=4\nprepare q=e nx=0 ny=0\n"
+                        f"pulse axis=x k=1 eta=0.9 omega=1e308 t={t} form=closed\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert doc["message"].startswith(
+            "pulse axis=x k=1: phase Omega_n t = inf is not finite at n = 3"
+        )
+
+    def test_run_builds_one_frequency_table_per_pulse(self, capsys, monkeypatch):
+        tables = []
+        for module in (dynamics, protocol):
+            def counted(spec, n, table=module.rabi_frequencies):
+                tables.append(spec)
+                return table(spec, n)
+            monkeypatch.setattr(module, "rabi_frequencies", counted)
+        assert main(["run", str(NOON8_PP)]) == 0
+        steps = parse(NOON8_PP.read_text()).steps
+        assert tables == [s.spec for s in steps if isinstance(s, protocol.SidebandPulse)]
+        assert len(tables) == 4
+
     def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP))
         assert code == 0
@@ -289,8 +315,10 @@ class TestScanIsBatched:
             m.setattr(dynamics, "rabi_frequencies",
                       counted("rabi_frequencies", dynamics.rabi_frequencies))
             for module in (dynamics, protocol, cli):
-                if hasattr(module, "apply_pulse"):
-                    m.setattr(module, "apply_pulse", counted("apply_pulse", module.apply_pulse))
+                # a run propagates each pulse with apply_pulse or, from its table, apply_pulse_table
+                for name in ("apply_pulse", "apply_pulse_table"):
+                    if hasattr(module, name):
+                        m.setattr(module, name, counted("apply_pulse", getattr(module, name)))
             m.setattr(HybridState, "qubit_populations",
                       counted("qubit_populations", HybridState.qubit_populations))
             assert main(list(argv)) == 0

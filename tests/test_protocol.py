@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import time
@@ -27,8 +28,16 @@ from noonsim import (
     vacuum_pulse_time,
 )
 from noonsim.fock import HybridState, basis_state
-from noonsim.dynamics import rabi_frequencies
-from noonsim.protocol import mode_amplitudes, qubit_level, resolve_duration, solve_duration
+from noonsim.dynamics import pulse_frequencies, rabi_frequencies
+from noonsim.protocol import (
+    _RUN_TAIL,
+    _nearer_steps,
+    _runs,
+    mode_amplitudes,
+    qubit_level,
+    resolve_duration,
+    solve_duration,
+)
 from conftest import random_program
 
 TRUNC = Truncation(12, 12, 4)
@@ -100,6 +109,111 @@ def grid_oracle(w_vac, w_super, horizon):
     t, transfer = grid_candidates(w_vac, w_super, horizon)
     best = int(np.argmax(transfer))
     return float(t[best]), float(1.0 - transfer[best])
+
+
+def first_at_most(a, b, c, w):
+    """Smallest x >= 0 with (a x + b) mod c <= w, or None if there is none.
+
+    Requires 0 <= a, b, w < c.  Until a x + b first reaches c the value
+    only grows from b, so either b <= w or the answer lies past a wrap.  If
+    the window is at least a wide, the first wrap lands in it.  Otherwise
+    the y-th wrap (y >= 1) lands in it iff a multiple of a lies in
+    [c y - b, c y - b + w], which is the same question for (c mod a, a):
+    a Euclid step, so the recursion depth is O(log c).
+    """
+    if b <= w:
+        return 0
+    if a == 0:
+        return None
+    if w + 1 >= a:
+        return -(-(c - b) // a)
+    y = first_at_most(c % a, (c + w - b) % a, a, w)
+    if y is None:
+        return None
+    return -(-(c * (y + 1) - b) // a)
+
+
+def record_walk(w_vac, w_super, horizon):
+    """The records up to the horizon, one descent each, with their signed distances.
+
+    The walk that the run walk replaced, kept as its oracle.  The record
+    after m is the first later candidate whose v lies within the current
+    distance of 0, found by a Euclid descent of its own; see
+    ``protocol._runs`` for the integer arithmetic.
+    """
+    p_super, q_super = w_super.as_integer_ratio()
+    p_vac, q_vac = w_vac.as_integer_ratio()
+    p, q = p_super * q_vac, q_super * p_vac
+    common = math.gcd(p, q)
+    p, q = p // common, q // common
+    c = 2 * q
+    a, b = 4 * p % c, (3 * p - q) % c
+
+    def signed(m):
+        v = (a * m + b) % c
+        return v if 2 * v <= c else v - c
+
+    m = 0
+    records, distances = [m], [signed(m)]
+    while distances[-1]:
+        dist = abs(distances[-1])
+        step = first_at_most(a, (a * (m + 1) + b + dist - 1) % c, c, 2 * dist - 2)
+        if step is None or m + 1 + step > horizon:
+            break
+        m += 1 + step
+        records.append(m)
+        distances.append(signed(m))
+    return records, distances
+
+
+def expand(runs):
+    """The records of ``protocol._runs``, one list per run."""
+    return [[first + j * step for j in range(count)] for first, step, count in runs]
+
+
+def split_runs(records, distances):
+    """The records grouped into runs.
+
+    Record j continues the run of record j - 1 if it follows it by the same
+    step as j - 1 followed j - 2, and j - 2 and j - 1 lie on the same side.
+    """
+    runs = []
+    for j, m in enumerate(records):
+        if (
+            j >= 2
+            and m - records[j - 1] == records[j - 1] - records[j - 2]
+            and (distances[j - 2] > 0) == (distances[j - 1] > 0)
+        ):
+            runs[-1].append(m)
+        else:
+            runs.append([m])
+    return runs
+
+
+def float_rule(w_vac, w_super, runs):
+    """(t, infidelity) of the float-best of the last 16 records of each run.
+
+    The first among ties wins.
+    """
+    best = None
+    for m in (m for run in runs for m in run[-_RUN_TAIL:]):
+        t = (2.0 * m + 1.5) * math.pi / w_vac
+        infid = 1.0 - float(np.sin(w_super * t)) ** 2
+        if best is None or infid < best[1]:
+            best = (t, infid)
+    return best
+
+
+@st.composite
+def near_rational_pairs(draw):
+    """(w_vac, w_super) with w_super / w_vac within a few ulp of p / q, q <= 50."""
+    w_vac = draw(st.floats(1e-2, 1e3))
+    q = draw(st.integers(1, 50))
+    w_super = w_vac * (draw(st.integers(0, 50 * q)) / q)
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        w_super = math.nextafter(w_super, math.copysign(math.inf, ulps))
+    return w_vac, w_super
 
 
 def solve_super(w_vac, w_super, horizon):
@@ -192,6 +306,132 @@ class TestExactSuperpositionSolver:
             assert infid1 < infid0 or (t1, infid1) == (t0, infid0)
         assert pulses[-1][1] < 1e-13
 
+    @pytest.mark.parametrize("w_vac, w_super", FREQUENCY_PAIRS)
+    def test_runs_hold_the_records_of_the_descent_walk(self, w_vac, w_super):
+        runs, descents = _runs(w_vac, w_super, 10**5)
+        expected = split_runs(*record_walk(w_vac, w_super, 10**5))
+        assert expand(runs) == expected
+        # one descent finds each run after m = 0; one more finds no record
+        # within the horizon, unless the walk ended at it or at an exact hit
+        assert descents in (len(runs) - 1, len(runs))
+        assert solve_super(w_vac, w_super, 10**5) == float_rule(w_vac, w_super, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=near_rational_pairs(), horizon=st.integers(1, 10**4))
+    def test_near_rational_ratio_walks_the_same_records(self, pair, horizon):
+        # within rounding of p / q the candidates improve by rounding-sized
+        # steps, so a run can hold thousands of records
+        w_vac, w_super = pair
+        runs, _ = _runs(w_vac, w_super, horizon)
+        expected = split_runs(*record_walk(w_vac, w_super, horizon))
+        assert expand(runs) == expected
+        assert solve_super(w_vac, w_super, horizon) == float_rule(w_vac, w_super, expected)
+
+    @pytest.mark.parametrize("g", [0.3, 0.6032, 1.0, 1.7, 2.3, 7.9])
+    def test_noon8_pulse_is_the_float_best_of_all_records(self, g):
+        # as the descent walk chose it: the runs of sqrt(70) are at most 16
+        # long up to 1e16, except one of 25 at g = 0.6032 from 1e8 on, whose
+        # skipped records round no better
+        w_vac, w_super = _closed_pair(g)
+        for k in range(3, 17):
+            records, _ = record_walk(w_vac, w_super, 10**k)
+            every_record = [[m] for m in records]
+            assert solve_super(w_vac, w_super, 10**k) == float_rule(w_vac, w_super, every_record)
+
+    def test_exact_ratios_with_small_denominators(self):
+        # w_super / w_vac = p / q exactly: the distances of two candidates can
+        # tie, and a tie is not a record
+        for q in range(1, 41):
+            for p in range(4 * q + 1):
+                for horizon in (1, 7, 50, 200):
+                    runs, _ = _runs(float(q), float(p), horizon)
+                    assert expand(runs) == split_runs(*record_walk(float(q), float(p), horizon))
+
+    def test_nearer_steps_are_every_one_sided_record(self):
+        for c in range(1, 61):
+            for a in range(c):
+                for horizon in (1, 5, c, 3 * c):
+                    expected = {False: [], True: []}
+                    best = {False: c, True: c}
+                    for x in range(1, horizon + 1):
+                        below = a * x % c
+                        for above, r in ((False, below), (True, (c - below) % c)):
+                            if 0 < r < best[above]:
+                                best[above] = r
+                                expected[above].append((x, r))
+                    for above, blocks in zip((False, True), _nearer_steps(a, c, horizon)):
+                        steps = [
+                            (x0 + j * dx, r0 - j * dr)
+                            for x0, dx, r0, dr, r_last in blocks
+                            for j in range((r0 - r_last) // dr + 1)
+                        ]
+                        assert [step for step in steps if step[0] <= horizon] == expected[above]
+
+    def test_near_rational_horizon_1e12_is_fast_and_small(self):
+        # w_super / w_vac = 15.333333333333334, within rounding of 46/3:
+        # every third candidate is a record, 333,333,333,335 of them
+        pair = (13.395954891471767, 205.40464166923377)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            solve_super(*pair, 10**12)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
+        tracemalloc.start()
+        try:
+            solve_super(*pair, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        runs, _ = _runs(*pair, 10**12)
+        assert sum(count for _, _, count in runs) == 333_333_333_335
+
+    def test_run_count_grows_as_log_phi_of_the_horizon(self):
+        # counted, not proven: each run starts at least as far out as the sum
+        # of the last members of the two runs before it, so at most
+        # log_phi(M) + 2 runs start within a horizon M
+        rng = random.Random(70)
+        golden = (1 + math.sqrt(5)) / 2
+        pairs = [_closed_pair(g) for g in (0.3, 0.6032, 1.0, 1.7, 2.3, 7.9)]
+        for _ in range(400):
+            w_vac = 10 ** rng.uniform(-2, 3)
+            q = rng.randint(1, 50)
+            near = w_vac * rng.randint(0, 50 * q) / q
+            for _ in range(rng.randint(1, 4)):
+                near = math.nextafter(near, math.inf)
+            pairs += [
+                (w_vac, near),
+                (w_vac, w_vac * (rng.randint(0, 20) + rng.choice([golden, 1 / golden]) / 2)),
+                (w_vac, w_vac * math.sqrt(rng.randint(1, 10**4) / rng.randint(1, 100))),
+                (w_vac, float(rng.randint(0, 100)) * w_vac),
+            ]
+        for w_vac, w_super in pairs:
+            horizon = rng.choice([1, 10, 10**3, 10**6, 10**9, 10**12, 10**16])
+            runs, _ = _runs(w_vac, w_super, horizon)
+            firsts = [first for first, _, _ in runs]
+            lasts = [first + (count - 1) * step for first, step, count in runs]
+            for i in range(len(runs) - 2):
+                assert firsts[i + 2] >= lasts[i + 1] + lasts[i]
+            assert len(runs) <= math.log(horizon, golden) + 2
+
+    def test_solver_logs_its_walk_at_debug(self, caplog):
+        w_vac, w_super = _closed_pair(1.0)
+        with caplog.at_level(logging.DEBUG, logger="noonsim.protocol"):
+            t, infid = superposition_pulse_time(1.0, 10**6)
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("noonsim.protocol", logging.DEBUG)
+        runs, descents = _runs(w_vac, w_super, 10**6)
+        m = round((t * w_vac / math.pi - 1.5) / 2.0)
+        assert record.getMessage() == (
+            f"superposition pulse, horizon 1000000: {len(runs)} runs, {descents} descents, "
+            f"m = {m}, infidelity {infid:.3e}"
+        )
+
+    def test_solver_is_silent_by_default(self, caplog):
+        superposition_pulse_time(1.0, 10**6)
+        assert caplog.records == []
+
     def test_zero_partner_frequency_takes_the_first_candidate(self):
         # sin^2(0 t) = 0 for every candidate: all tie, the first one wins
         assert solve_super(2.0, 0.0, 10) == (1.5 * math.pi / 2.0, 1.0)
@@ -208,6 +448,18 @@ class TestExactSuperpositionSolver:
 
 
 class TestResolveDuration:
+    @pytest.mark.parametrize("form", ["closed", "full"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n_max", [6, 8, 12])
+    def test_pulse_table_gives_the_same_duration(self, form, k, n_max):
+        # n_max = 6 leaves d - k = 1 pair for k = 6: the table still reaches n = k
+        trunc = Truncation(n_max, n_max, 6)
+        for marker in (VacuumPi(), SuperpositionPi(10**6)):
+            spec = PulseSpec("y", k, 0.3, 15000.0, marker, form)
+            freq = pulse_frequencies(spec, trunc)
+            assert len(freq) == max(n_max + 1 - k, k + 1)
+            assert resolve_duration(spec, freq) == resolve_duration(spec)
+
     def test_vacuum_pi_for_k2_closed_pulse(self):
         spec, infid = resolve_duration(PulseSpec("x", 2, 0.2, 15000.0, VacuumPi(), "closed"))
         assert infid == 0.0
