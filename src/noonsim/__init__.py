@@ -9,8 +9,10 @@ The package is organized in four layers:
   runtime propagator is a pair-rotation kernel on the amplitude tensor:
   each sideband pulse is a set of 2x2 rotations on the pairs
   (|e,n>, |g,n+k>), with the closed and full forms differing only in their
-  table of Rabi frequencies, evaluated for a whole duration scan at once,
-  and a carrier pulse is one 2x2 matrix on the qubit axis.  The dense builders (sideband Hamiltonian, closed-form
+  table of Rabi frequencies, which one function builds per pulse.  A pulse
+  enters the kernel through ``apply_pulse``, or a whole duration scan at
+  once through ``scan_pulse``, and a carrier pulse is one 2x2 matrix on the
+  qubit axis.  The dense builders (sideband Hamiltonian, closed-form
   four-phonon unitary, eigendecomposition matrix exponential, dense carrier
   rotation) are kept as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
@@ -63,7 +65,6 @@ from .protocol import (
     superposition_pulse_time,
     run_sequence,
     build_noon8,
-    noon_target,
     noon_fidelity,
 )
 from .program import Program, ParseError, parse, serialize
@@ -79,7 +80,7 @@ __all__ = [
     "Prepare", "SidebandPulse", "Rotate", "MeasureQubit",
     "VacuumPi", "SuperpositionPi", "StepRecord", "RunResult",
     "NoonFidelity", "vacuum_pulse_time", "superposition_pulse_time",
-    "run_sequence", "build_noon8", "noon_target", "noon_fidelity",
+    "run_sequence", "build_noon8", "noon_fidelity",
     "Program", "ParseError", "parse", "serialize",
 ]
 

@@ -111,8 +111,15 @@ def cmd_scan(args) -> int:
 
 
 def _load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as parse splits them; the last one ends at the bad byte
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         len(lines), len(lines[-1])) from None
     program = parse(text)
     if not program.steps:
         raise ParseError("no steps; a program starts with a prepare", len(text.splitlines()) + 1)
@@ -193,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _emit_error("parse", str(exc), line=exc.line, col=exc.col)
         return EXIT_PARSE
-    except (PhysicsError, ValueError) as exc:
+    except PhysicsError as exc:
         _emit_error("physics", str(exc))
         return EXIT_PHYSICS
     except OSError as exc:

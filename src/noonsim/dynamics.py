@@ -8,19 +8,21 @@ To leading order in eta this is the closed form g_k * sqrt((n+k)! / n!) with
 g_k = Omega * eta^k / k!.  Either way the Hamiltonian only couples the pairs
 (|e, n>, |g, n+k>) of the driven mode, so e^{-iHt} is a direct sum of 2x2
 rotations: cos(Omega_n t) on the diagonal, -i sin(Omega_n t) off it.  The
-two pulse forms differ only in their table of frequencies Omega_n
-(``rabi_frequencies``).  One kernel, ``_rotate_pairs``, applies the
-rotations directly to the (2, dx, dy) amplitude tensor for a batch of S
-durations at once, giving (S, 2, dx, dy).  ``apply_pulse`` is its batch of
-one, ``apply_pulse_table`` the same from a table the caller built with
-``pulse_frequencies`` (the protocol engine solves auto durations from it
-too); ``scan_pulse`` builds the frequency table once and sends a duration
-scan through it in chunks of about 2^14 amplitudes, returning only the
-qubit populations and leakage of each sample.  The kernel checks its table
-of phases Omega_n t before taking cos and sin, so an overflowing duration
-is a ``PhysicsError`` naming the pulse.  ``apply_rotation`` applies a
-carrier pulse as one 2x2 matrix on the qubit axis.  These are the runtime
-propagators, and their cost is linear in the number of amplitudes.
+two pulse forms differ only in their table of frequencies Omega_n, and one
+function, ``rabi_frequencies``, builds a pulse's table.  One kernel,
+``_rotate_pairs``, applies the rotations directly to the (2, dx, dy)
+amplitude tensor for a batch of S durations at once, giving
+(S, 2, dx, dy).  ``apply_pulse`` is its batch of one, from a table it
+builds or one the caller already built (the protocol engine solves auto
+durations from the same table); ``scan_pulse`` builds the table once and
+sends a duration scan through it in chunks of about 2^14 amplitudes,
+returning only the qubit populations and leakage of each sample.  Both
+reduce the guard band with one sum, ``_guard_sum``.  The kernel checks its
+table of phases Omega_n t before taking cos and sin, so an overflowing
+duration or table is a ``PhysicsError`` naming the pulse.
+``apply_rotation`` applies a carrier pulse as one 2x2 matrix on the qubit
+axis.  These are the runtime propagators, and their cost is linear in the
+number of amplitudes.
 
 The dense dim x dim builders -- ``sideband_hamiltonian``,
 ``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
@@ -118,8 +120,26 @@ def _require_finite(**values: float) -> None:
 
 
 def coupling_g(spec: PulseSpec) -> float:
-    """Effective k-phonon coupling g_k = Omega * eta^k / k! of the closed form."""
-    return spec.omega * spec.eta**spec.k / math.factorial(spec.k)
+    """Effective k-phonon coupling g_k = Omega * eta^k / k! of the closed form.
+
+    Where eta^k or k! is beyond the float range, g_k is taken through
+    logarithms (``_from_logs``) and may round to 0 or inf.
+    """
+    try:
+        return spec.omega * spec.eta**spec.k / math.factorial(spec.k)
+    except OverflowError:
+        return _from_logs(spec.omega, spec.eta, spec.k, -math.lgamma(spec.k + 1))
+
+
+def _from_logs(omega: float, eta: float, k: int, log_rest: float) -> float:
+    """omega * eta^k * e^log_rest as a sum of logarithms, 0 or inf beyond the float range.
+
+    The fallback where Python's float power or int-to-float conversion
+    raises OverflowError.  It warns of nothing; a table that is not finite
+    is reported by the kernel or the duration solver.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(np.log(omega) + k * np.log(eta) + log_rest))
 
 
 def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
@@ -188,7 +208,10 @@ def sideband_elements(count: int, k: int, eta: float, omega: float) -> np.ndarra
     bit-identical to it.
     """
     x = eta * eta
-    scale = omega * math.exp(-x / 2.0) * eta**k
+    try:
+        scale = omega * math.exp(-x / 2.0) * eta**k
+    except OverflowError:
+        scale = _from_logs(omega, eta, k, -x / 2.0)
     out = []
     l_prev, l_cur = 0.0, 1.0  # L_{n-1}, L_n, starting at n = 0
     for n in range(count):
@@ -207,29 +230,33 @@ def closed_form_frequencies(g: float, k: int, n) -> np.ndarray:
 
     The product is taken left to right from (n+k), so for k = 4 the values
     are bit-identical to g * sqrt((n+4)(n+3)(n+2)(n+1)).  A value beyond
-    the float range is inf, without a warning; the kernel's phase check and
-    the duration solver report it.
+    the float range is inf, and g = 0 times a product beyond it is nan,
+    without a warning; the kernel's phase check and the duration solver
+    report either.
     """
     n = np.asarray(n, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         prod = n + float(k)
         for j in range(k - 1, 0, -1):
             prod = prod * (n + float(j))
         return g * np.sqrt(prod)
 
 
-def rabi_frequencies(spec: PulseSpec, n) -> np.ndarray:
-    """Rabi frequency Omega_n of each pair (|e, n>, |g, n+k>) the pulse couples.
+def rabi_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
+    """The pulse's table: Omega_n of the pair (|e, n>, |g, n+k>) for n < max(d - k, k + 1).
 
+    d is the dimension of the driven mode, checked first.  The kernel
+    rotates the d - k pairs inside the mode with the head of the table, and
+    an auto duration is solved from Omega_0 and Omega_k, which the table
+    holds even when the mode is too small for the pair at n = k.
     ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), k, n)``,
     the leading order in eta; ``form="full"`` gives
     ``sideband_element(n, k, eta, omega)``.
     """
+    count = max(_driven_dim(spec, trunc) - spec.k, spec.k + 1)
     if spec.form == "closed":
-        return closed_form_frequencies(coupling_g(spec), spec.k, n)
-    n = np.asarray(n, dtype=int)
-    count = int(n.max(initial=-1)) + 1
-    return sideband_elements(count, spec.k, spec.eta, spec.omega)[n]
+        return closed_form_frequencies(coupling_g(spec), spec.k, np.arange(count))
+    return sideband_elements(count, spec.k, spec.eta, spec.omega)
 
 
 def closed_form_unitary(g: float, t: float, trunc: Truncation, axis: str) -> np.ndarray:
@@ -312,13 +339,18 @@ def apply_operator(u: np.ndarray, state: HybridState) -> HybridState:
 
 def guard_band_population(state: HybridState, axis: str) -> float:
     """Probability mass in the top ``guard`` Fock levels of one axis."""
-    g = state.trunc.guard
-    if g == 0:
-        return 0.0
-    p = np.abs(state.amp) ** 2
-    if axis == "x":
-        return float(np.sum(p[:, state.trunc.dim_x - g :, :]))
-    return float(np.sum(p[:, :, state.trunc.dim_y - g :]))
+    return float(_guard_sum(np.abs(state.amp) ** 2, axis, state.trunc))
+
+
+def _guard_sum(p: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
+    """Sum of the populations ``p`` (..., 2, dx, dy) in the top ``guard`` levels of one axis.
+
+    One sum for a single state and for a batch of them, so a scan row
+    reduces in the same order as ``apply_pulse``.
+    """
+    top = trunc.dim_of(axis) - trunc.guard
+    band = p[..., top:, :] if axis == "x" else p[..., top:]
+    return np.sum(band, axis=(-3, -2, -1))
 
 
 # amplitudes rotated per chunk of scan samples: a few hundred KB of complex128
@@ -329,12 +361,15 @@ def _rotate_pairs(amp: np.ndarray, spec: PulseSpec, freq: np.ndarray,
                   ts: np.ndarray) -> np.ndarray:
     """Rotate every pair (|e, n>, |g, n+k>) of the driven mode by freq[n] * t, for each t.
 
-    ``amp`` is one (2, dx, dy) tensor, ``freq`` the pulse's Rabi frequencies
-    and ``ts`` a 1-D array of S durations; the result is (S, 2, dx, dy).
-    The pair is mapped by [[cos, -i sin], [-i sin, cos]].  Amplitudes without
-    a partner inside the mode (|e, n> with n + k above the cutoff, |g, n>
-    with n < k) are left fixed, as in ``closed_form_unitary``.
+    ``amp`` is one (2, dx, dy) tensor, ``freq`` the pulse's table
+    (``rabi_frequencies``), of which the d - k pairs inside the mode use the
+    head, and ``ts`` a 1-D array of S durations; the result is
+    (S, 2, dx, dy).  The pair is mapped by [[cos, -i sin], [-i sin, cos]].
+    Amplitudes without a partner inside the mode (|e, n> with n + k above
+    the cutoff, |g, n> with n < k) are left fixed, as in
+    ``closed_form_unitary``.
     """
+    freq = freq[: amp.shape[1 if spec.axis == "x" else 2] - spec.k]
     with np.errstate(over="ignore", invalid="ignore"):
         phase = freq * ts[:, None]
     if not np.isfinite(phase).all():
@@ -354,38 +389,22 @@ def _rotate_pairs(amp: np.ndarray, spec: PulseSpec, freq: np.ndarray,
     return out
 
 
-def pulse_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
-    """The pulse's table: Omega_n for n = 0 .. max(d - k, k + 1) - 1.
-
-    d is the dimension of the driven mode, checked first.  The kernel
-    rotates the d - k pairs (|e, n>, |g, n+k>) inside the mode with the head
-    of the table, and an auto duration is solved from Omega_0 and Omega_k,
-    which the table holds even when the mode is too small for the pair at
-    n = k.
-    """
-    d = _driven_dim(spec, trunc)
-    return rabi_frequencies(spec, np.arange(max(d - spec.k, spec.k + 1)))
-
-
-def apply_pulse(state: HybridState, spec: PulseSpec) -> tuple[HybridState, float]:
+def apply_pulse(
+    state: HybridState, spec: PulseSpec, freq: np.ndarray | None = None
+) -> tuple[HybridState, float]:
     """Propagate one sideband pulse; returns (new state, guard-band leakage).
 
     ``spec.duration`` must already be numeric; symbolic auto durations are
-    resolved by the protocol engine.
+    resolved by the protocol engine.  ``freq`` is the pulse's table,
+    ``rabi_frequencies(spec, state.trunc)``, built here when not given.
     """
     if not isinstance(spec.duration, (int, float)):
         raise ValueError(
             "apply_pulse needs a numeric duration; resolve auto markers first"
         )
-    return apply_pulse_table(state, spec, pulse_frequencies(spec, state.trunc))
-
-
-def apply_pulse_table(
-    state: HybridState, spec: PulseSpec, freq: np.ndarray
-) -> tuple[HybridState, float]:
-    """``apply_pulse`` with its table ``pulse_frequencies(spec, state.trunc)`` already built."""
-    pairs = freq[: state.trunc.dim_of(spec.axis) - spec.k]
-    amp = _rotate_pairs(state.amp, spec, pairs, np.array([float(spec.duration)]))
+    if freq is None:
+        freq = rabi_frequencies(spec, state.trunc)
+    amp = _rotate_pairs(state.amp, spec, freq, np.array([float(spec.duration)]))
     out = HybridState(amp[0], state.trunc)
     return out, guard_band_population(out, spec.axis)
 
@@ -399,13 +418,13 @@ def scan_pulse(
     of each duration followed by ``qubit_populations``: the frequency table
     is built once, and the samples go through ``_rotate_pairs`` in chunks
     of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
-    ``HybridState`` checks its own and reduced in the same order.
+    ``HybridState`` checks its own, with the qubit populations reduced in
+    the same order and the leakage by the same ``_guard_sum``.
     """
     ts = np.asarray(durations, dtype=float)
     if not np.isfinite(ts).all():
         _require_finite(duration=float(ts[~np.isfinite(ts)][0]))
-    freq = pulse_frequencies(spec, state.trunc)[: state.trunc.dim_of(spec.axis) - spec.k]
-    top = state.trunc.dim_of(spec.axis) - state.trunc.guard
+    freq = rabi_frequencies(spec, state.trunc)
     chunk = max(1, _CHUNK_AMPLITUDES // state.amp.size)
     p_g, p_e, leakage = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
     for start in range(0, len(ts), chunk):
@@ -415,6 +434,5 @@ def scan_pulse(
         p = np.abs(amp) ** 2
         pops = np.sum(p, axis=(2, 3))
         p_g[rows], p_e[rows] = pops[:, 0], pops[:, 1]
-        guard = p[:, :, top:, :] if spec.axis == "x" else p[:, :, :, top:]
-        leakage[rows] = np.sum(guard, axis=(1, 2, 3))
+        leakage[rows] = _guard_sum(p, spec.axis, state.trunc)
     return p_g, p_e, leakage

@@ -35,10 +35,9 @@ from .dynamics import (
     PhysicsError,
     PulseSpec,
     RotationSpec,
-    apply_pulse_table,
+    apply_pulse,
     apply_rotation,
     closed_form_frequencies,
-    pulse_frequencies,
     rabi_frequencies,
 )
 
@@ -145,7 +144,8 @@ def solve_duration(
     choice).  ``VacuumPi`` gives the exact pi / (2 w_vac).
     ``SuperpositionPi(M)`` gives a candidate t_m = (2m + 3/2) pi / w_vac,
     m = 0..M; each has sin^2(w_vac t_m) = 1, so its infidelity is
-    1 - sin^2(w_super t_m).
+    1 - sin^2(w_super t_m).  A candidate beyond the float range is skipped,
+    and if t_0 is, the duration is a ``PhysicsError``.
 
     Float rule: of the records within the horizon (``_runs``), the last 16
     (``_RUN_TAIL``) of each run, or all of a shorter run, get a float
@@ -163,29 +163,36 @@ def solve_duration(
     earlier records skipped.
     """
     if not (math.isfinite(w_vac) and math.isfinite(w_super)):
-        raise ValueError(f"Rabi frequencies must be finite, got {w_vac!r} and {w_super!r}")
+        raise PhysicsError(f"Rabi frequencies must be finite, got {w_vac!r} and {w_super!r}")
     if w_vac <= 0:
-        raise ValueError("pulse has zero coupling; cannot solve a duration")
+        raise PhysicsError(f"pulse coupling Omega_0 = {w_vac!r} is not positive; "
+                           "cannot solve a duration")
     if isinstance(marker, VacuumPi):
-        return math.pi / (2.0 * w_vac), 0.0
-    if isinstance(marker, SuperpositionPi):
+        t, infid = math.pi / (2.0 * w_vac), 0.0
+    elif isinstance(marker, SuperpositionPi):
         runs, descents = _runs(w_vac, w_super, marker.horizon)
         best = None
-        for first, step, count in runs:
-            for j in range(max(0, count - _RUN_TAIL), count):
-                m = first + j * step
-                t = (2.0 * m + 1.5) * math.pi / w_vac
-                s = float(np.sin(w_super * t))
-                infid = 1.0 - s * s
-                if best is None or infid < best[2]:
-                    best = (m, t, infid)
+        # t_m beyond the float range scores nan, which never wins after m = 0
+        with np.errstate(invalid="ignore"):
+            for first, step, count in runs:
+                for j in range(max(0, count - _RUN_TAIL), count):
+                    m = first + j * step
+                    t = (2.0 * m + 1.5) * math.pi / w_vac
+                    s = float(np.sin(w_super * t))
+                    infid = 1.0 - s * s
+                    if best is None or infid < best[2]:
+                        best = (m, t, infid)
         m, t, infid = best
         _debug(
             "superposition pulse, horizon %d: %d runs, %d descents, m = %d, infidelity %.3e",
             marker.horizon, len(runs), descents, m, infid,
         )
-        return t, infid
-    raise ValueError(f"unknown duration marker {marker!r}")
+    else:
+        raise ValueError(f"unknown duration marker {marker!r}")
+    if not math.isfinite(t):
+        raise PhysicsError(f"pulse duration {t!r} is beyond the float range "
+                           f"at Omega_0 = {w_vac!r}")
+    return t, infid
 
 
 def _debug(msg: str, *args) -> None:
@@ -342,25 +349,20 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     )
 
 
-def resolve_duration(
-    spec: PulseSpec, freq: np.ndarray | None = None
-) -> tuple[PulseSpec, float]:
+def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, float]:
     """Replace a symbolic duration by its numeric value.
 
-    The two frequencies are Omega_0 and Omega_k of the table the pulse is
-    propagated with: for the full Hamiltonian they carry the exp(-eta^2/2)
-    and Laguerre corrections, whose O(eta^2) shifts would otherwise
-    accumulate over the long superposition pulse.  ``freq`` is that table,
-    ``pulse_frequencies``, when the caller has built it; without it they
-    come from ``rabi_frequencies`` for n = 0..k, bit for bit the same.
-    Returns (resolved spec, predicted infidelity of the timing choice); the
-    latter is 0 for exact durations.
+    ``freq`` is the table the pulse is propagated with,
+    ``rabi_frequencies(spec, trunc)``, and the two frequencies are its
+    Omega_0 and Omega_k: for the full Hamiltonian they carry the
+    exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts would
+    otherwise accumulate over the long superposition pulse.  Returns
+    (resolved spec, predicted infidelity of the timing choice); the latter
+    is 0 for exact durations.
     """
     d = spec.duration
     if isinstance(d, (int, float)):
         return spec, 0.0
-    if freq is None:
-        freq = rabi_frequencies(spec, np.arange(spec.k + 1))
     t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
     return replace(spec, duration=t), infid
 
@@ -402,9 +404,9 @@ def run_sequence(
 
     for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, SidebandPulse):
-            freq = pulse_frequencies(step.spec, trunc)
+            freq = rabi_frequencies(step.spec, trunc)
             spec, timing_infid = resolve_duration(step.spec, freq)
-            state, leakage = apply_pulse_table(state, spec, freq)
+            state, leakage = apply_pulse(state, spec, freq)
             if leakage > leakage_limit:
                 raise PhysicsError(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "
@@ -459,20 +461,6 @@ def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
         Rotate(RotationSpec(half_pi, -half_pi)),
         MeasureQubit("e"),
     ]
-
-
-def noon_target(n: int, chi: float, trunc: Truncation) -> np.ndarray:
-    """Two-mode NOON state (|n>_x |0>_y + e^{i chi} |0>_x |n>_y) / sqrt(2).
-
-    Returned as a (dim_x, dim_y) amplitude array; the qubit factor is not
-    part of the target.
-    """
-    if n > min(trunc.n_max_x, trunc.n_max_y):
-        raise ValueError(f"N = {n} exceeds the truncation")
-    amp = np.zeros((trunc.dim_x, trunc.dim_y), dtype=complex)
-    amp[n, 0] = 1.0 / math.sqrt(2.0)
-    amp[0, n] = cmath.exp(1j * chi) / math.sqrt(2.0)
-    return amp
 
 
 @dataclass(frozen=True)

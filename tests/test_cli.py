@@ -125,6 +125,52 @@ class TestRun:
             "pulse axis=x k=1: phase Omega_n t = inf is not finite at n = 3"
         )
 
+    @pytest.mark.parametrize("set_line, pulse, message", [
+        ("set nmax_x=12 nmax_y=12 guard=4", "k=2 eta=1e200 omega=1 t=1 form=closed",
+         "pulse axis=x k=2: phase Omega_n t = inf is not finite at n = 0"),
+        ("set nmax_x=12 nmax_y=12 guard=4", "k=2 eta=1e200 omega=1 t=1 form=full",
+         "pulse axis=x k=2: phase Omega_n t = nan is not finite at n = 1"),
+        ("set nmax_x=180 nmax_y=180 guard=171", "k=171 eta=0.2 omega=1 t=1 form=closed",
+         "pulse axis=x k=171: phase Omega_n t = nan is not finite at n = 0"),
+    ], ids=["eta-closed", "eta-full", "k171-closed"])
+    def test_overflowing_coupling_is_one_physics_error_line(self, capsys, tmp_path,
+                                                            set_line, pulse, message):
+        # eta^k or k! beyond the float range, where Python's float arithmetic raises
+        prog = tmp_path / "overflow.pp"
+        prog.write_text(f"{set_line}\nprepare q=e nx=0 ny=0\npulse axis=x {pulse}\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert doc["message"].startswith(message)
+
+    def test_duration_beyond_the_float_range_is_a_physics_error(self, capsys, tmp_path):
+        # Omega_0 = 0.5e-320 sqrt(2) is a subnormal, and pi / (2 Omega_0) is inf
+        prog = tmp_path / "weak.pp"
+        prog.write_text("prepare q=e nx=0 ny=0\n"
+                        "pulse axis=x k=2 eta=1e-160 omega=1 t=auto_vacuum_pi form=closed\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert json.loads(err)["message"].startswith("pulse duration inf is beyond the float range")
+
+    def test_non_utf8_program_is_a_parse_error_at_the_bad_byte(self, capsys, tmp_path):
+        prog = tmp_path / "latin1.pp"
+        prog.write_bytes(b"prepare q=e nx=0 ny=0\r\n# caf\xc3\xa9\nrotate theta=pi phi=\xff0\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 3, 21)
+        assert "byte 0xff" in doc["message"]
+
+    def test_value_error_is_not_reported_as_physics(self, monkeypatch):
+        # only PhysicsError means physics; any other ValueError is a fault of the program
+        def broken(*args, **kwargs):
+            raise ValueError("not physics")
+
+        monkeypatch.setattr(cli, "run_sequence", broken)
+        with pytest.raises(ValueError, match="not physics"):
+            main(["run", str(NOON8_PP)])
+
     def test_run_builds_one_frequency_table_per_pulse(self, capsys, monkeypatch):
         tables = []
         for module in (dynamics, protocol):
@@ -315,10 +361,8 @@ class TestScanIsBatched:
             m.setattr(dynamics, "rabi_frequencies",
                       counted("rabi_frequencies", dynamics.rabi_frequencies))
             for module in (dynamics, protocol, cli):
-                # a run propagates each pulse with apply_pulse or, from its table, apply_pulse_table
-                for name in ("apply_pulse", "apply_pulse_table"):
-                    if hasattr(module, name):
-                        m.setattr(module, name, counted("apply_pulse", getattr(module, name)))
+                if hasattr(module, "apply_pulse"):
+                    m.setattr(module, "apply_pulse", counted("apply_pulse", module.apply_pulse))
             m.setattr(HybridState, "qubit_populations",
                       counted("qubit_populations", HybridState.qubit_populations))
             assert main(list(argv)) == 0
