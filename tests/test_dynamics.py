@@ -124,6 +124,17 @@ class TestRabiFrequencies:
         # eta^2 = inf: the Laguerre values are nan, which the kernel reports
         assert not np.isfinite(dynamics.sideband_elements(3, 2, 1e200, 1.0)).all()
 
+    def test_full_table_at_chosen_levels(self):
+        # a smaller mode's table is the head of a larger one's, bit for bit
+        spec = PulseSpec("x", 3, 0.2, 15000.0, 0.0, "full")
+        levels = [5, 0, 3, 3]
+        full = rabi_frequencies(spec, Truncation(8, 8, 4))
+        small = rabi_frequencies(spec, Truncation(3, 3, 3))
+        assert small.shape == (4,)
+        assert np.array_equal(small, full[:4])
+        ref = np.array([sideband_element(m, 3, 0.2, 15000.0) for m in levels])
+        np.testing.assert_allclose(full[levels], ref, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("g", [1.0, 6.666666666666667e-5, 0.7, 2.3])
     def test_closed_table_at_k4_is_the_four_phonon_product(self, g):
         n = np.arange(97, dtype=float)

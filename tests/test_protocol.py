@@ -458,6 +458,20 @@ class TestExactSuperpositionSolver:
 
 
 class TestResolveDuration:
+    @pytest.mark.parametrize("form", ["closed", "full"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n_max", [6, 8, 12])
+    def test_pulse_table_gives_the_same_duration(self, form, k, n_max):
+        # n_max = 6 leaves d - k = 1 pair for k = 6: the table still reaches n = k,
+        # so the duration is the one of the least mode that holds the pulse
+        trunc = Truncation(n_max, n_max, 6)
+        for marker in (VacuumPi(), SuperpositionPi(10**6)):
+            spec = PulseSpec("y", k, 0.3, 15000.0, marker, form)
+            freq = rabi_frequencies(spec, trunc)
+            assert len(freq) == max(n_max + 1 - k, k + 1)
+            least = rabi_frequencies(spec, Truncation(k, k, k))
+            assert resolve_duration(spec, freq) == resolve_duration(spec, least)
+
     def test_vacuum_pi_for_k2_closed_pulse(self):
         spec = PulseSpec("x", 2, 0.2, 15000.0, VacuumPi(), "closed")
         spec, infid = resolve_duration(spec, rabi_frequencies(spec, TRUNC))
