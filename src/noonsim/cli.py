@@ -40,13 +40,13 @@ def result_document(
     result,
     *,
     dump_states: bool = False,
-    noon_n: int = 8,
 ) -> dict:
     """JSON-serializable record of one run, ``schema_version`` 2.
 
     A step's entry holds its index, keyword, qubit populations and the
     ``StepRecord`` fields that are not None; its state only with
-    ``dump_states``.  A final state with a definite qubit level is scored.
+    ``dump_states``.  A final state with a definite qubit level is scored as
+    NOON(2k) if every pulse has sideband order k and 2k fits both modes.
     """
     steps = []
     for rec in result.steps:
@@ -60,7 +60,10 @@ def result_document(
         steps.append(entry)
 
     diagnostics = {"postselect_probability": result.postselect_probability}
-    if qubit_level(result.final_state) is not None:
+    orders = {2 * step.spec.k for step in program.steps if isinstance(step, SidebandPulse)}
+    top = min(program.trunc.n_max_x, program.trunc.n_max_y)
+    if len(orders) == 1 and max(orders) <= top and qubit_level(result.final_state) is not None:
+        (noon_n,) = orders
         nf = noon_fidelity(result.final_state, noon_n)
         diagnostics["noon_n"] = float(noon_n)
         diagnostics.update((f"noon_{k}", v) for k, v in vars(nf).items())
@@ -76,7 +79,7 @@ def result_document(
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     result = run_sequence(list(program.steps), program.trunc, outcome_override=args.outcome)
-    doc = result_document(program, result, dump_states=args.dump_states, noon_n=args.noon_n)
+    doc = result_document(program, result, dump_states=args.dump_states)
     _write_out(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -177,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-states", action="store_true",
                      help="include per-step state amplitudes in the output")
     run.add_argument("--out", default=None, help="output file (default stdout)")
-    run.add_argument("--noon-n", type=_positive_int, default=8, dest="noon_n",
-                     help="NOON order scored in the diagnostics, 1..min(nmax_x, nmax_y)")
     run.set_defaults(func=cmd_run)
 
     scan = sub.add_parser("scan", help="scan one pulse's duration, CSV output")

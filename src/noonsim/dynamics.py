@@ -38,7 +38,6 @@ is dropped; fidelities are insensitive to it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -72,6 +71,7 @@ class PulseSpec:
     protocol engine.  ``form`` selects the table of Rabi frequencies the
     pulse is propagated with: the leading Lamb-Dicke order ("closed") or
     the full sideband matrix elements ("full"); see ``rabi_frequencies``.
+    The closed form is only the leading order in eta; nothing checks eta < 1.
     """
 
     axis: str
@@ -95,11 +95,6 @@ class PulseSpec:
             raise ValueError("omega must be >= 0")
         if self.form not in ("closed", "full"):
             raise ValueError(f"form must be 'closed' or 'full', got {self.form!r}")
-        if self.eta >= 1:
-            warnings.warn(
-                f"eta = {self.eta} is outside the Lamb-Dicke regime (eta < 1)",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,11 @@ def _parse_angle(text: str) -> float:
     m = _PI_RE.match(text)
     if not m:
         return _parse_real(text, "angle")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    num = float(m.group(2)) if m.group(2) else 1.0
-    den = float(m.group(3)) if m.group(3) else 1.0
-    return sign * num * math.pi / den
+    num = float(m.group(1) + (m.group(2) or "1"))
+    den = float(m.group(3) or "1")
+    if den == 0:
+        raise ValueError(f"invalid angle {text!r} (zero denominator)")
+    return num * math.pi / den
 
 
 def _parse_duration(text: str):

@@ -358,12 +358,15 @@ def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, floa
     exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts would
     otherwise accumulate over the long superposition pulse.  Returns
     (resolved spec, predicted infidelity of the timing choice); the latter
-    is 0 for exact durations.
+    is 0 for exact durations.  A solver ``PhysicsError`` names the pulse.
     """
     d = spec.duration
     if isinstance(d, (int, float)):
         return spec, 0.0
-    t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
+    try:
+        t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
+    except PhysicsError as exc:
+        raise PhysicsError(f"pulse axis={spec.axis} k={spec.k}: {exc}") from None
     return replace(spec, duration=t), infid
 
 

@@ -43,22 +43,45 @@ class TestRun:
         ]
         assert [rec["kind"] for rec in json.loads(out)["steps"]] == keywords
 
-    @pytest.mark.parametrize("value", ["99", "13"])
-    def test_noon_order_above_the_truncation_is_a_physics_error(self, capsys, value):
-        code, out, err = run_cli(capsys, "run", str(NOON8_PP), "--noon-n", value)
-        assert (code, out) == (3, "")
-        doc = json.loads(err)
-        assert doc["error"] == "physics"
-        assert f"N = {value}" in doc["message"]
+    def test_program_without_pulses_is_not_scored(self, capsys, tmp_path):
+        prog = tmp_path / "small.pp"
+        prog.write_text("set nmax_x=6 nmax_y=6 guard=1\nprepare q=g nx=0 ny=0\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"] == {"postselect_probability": 1.0}
 
-    @pytest.mark.parametrize("value", ["-5", "0"])
-    def test_noon_order_below_one_is_a_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(NOON8_PP), f"--noon-n={value}"])
-        assert exc.value.code == 2
-        doc = json.loads(capsys.readouterr().err)
-        assert doc["error"] == "usage"
-        assert doc["message"].startswith("argument --noon-n:")
+    @pytest.mark.parametrize("outcome", ["g", "e"])
+    @pytest.mark.parametrize("form", ["closed", "full"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_noon_order_is_twice_the_sideband_order(self, capsys, tmp_path, k, form, outcome):
+        # the nine-step sequence with k-phonon pulses at g = 1: omega = k! / eta^k
+        omega = math.factorial(k) / 0.2**k
+        text = NOON8_PP.read_text().replace("nmax_x=12 nmax_y=12 guard=4",
+                                            f"nmax_x={3 * k + 4} nmax_y={3 * k + 4} guard={k}")
+        text = text.replace("k=4 eta=0.2 omega=15000.0", f"k={k} eta=0.2 omega={omega!r}")
+        prog = tmp_path / "noon2k.pp"
+        prog.write_text(text.replace("form=closed", f"form={form}"))
+        code, out, err = run_cli(capsys, "run", str(prog), "--outcome", outcome)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        diagnostics = doc["diagnostics"]
+        assert diagnostics["noon_n"] == 2.0 * k
+        assert diagnostics["postselect_probability"] == pytest.approx(0.5, abs=1e-15)
+        # 1 - F is each superposition pulse's predicted infidelity; measured to
+        # agree within 3.4e-16 for k = 1..3, which is 1.5 ulp of 1
+        for rec in doc["steps"][5:7]:
+            assert 1 - diagnostics["noon_best_fidelity"] == pytest.approx(
+                rec["timing_infidelity"], rel=0, abs=1e-15)
+
+        # solved durations pasted in as numbers are scored the same
+        for rec in doc["steps"]:
+            if "duration" in rec:
+                text = text.replace("auto_vacuum_pi" if rec["step"] < 5 else "auto_super_pi(1000)",
+                                    repr(rec["duration"]), 1)
+        prog.write_text(text.replace("form=closed", f"form={form}"))
+        code, out, err = run_cli(capsys, "run", str(prog), "--outcome", outcome)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"] == diagnostics
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "e")
@@ -144,14 +167,20 @@ class TestRun:
         assert doc["error"] == "physics"
         assert doc["message"].startswith(message)
 
-    def test_duration_beyond_the_float_range_is_a_physics_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("pulse, message", [
         # Omega_0 = 0.5e-320 sqrt(2) is a subnormal, and pi / (2 Omega_0) is inf
+        ("axis=x k=2 eta=1e-160 omega=1 t=auto_vacuum_pi form=closed",
+         "pulse axis=x k=2: pulse duration inf is beyond the float range"),
+        ("axis=y k=3 eta=0.2 omega=0 t=auto_super_pi(10) form=full",
+         "pulse axis=y k=3: pulse coupling Omega_0 = 0.0 is not positive"),
+    ], ids=["inf-duration", "zero-coupling"])
+    def test_unsolvable_duration_is_a_physics_error_naming_the_pulse(self, capsys, tmp_path,
+                                                                     pulse, message):
         prog = tmp_path / "weak.pp"
-        prog.write_text("prepare q=e nx=0 ny=0\n"
-                        "pulse axis=x k=2 eta=1e-160 omega=1 t=auto_vacuum_pi form=closed\n")
+        prog.write_text(f"prepare q=e nx=0 ny=0\npulse {pulse}\n")
         code, out, err = run_cli(capsys, "run", str(prog))
         assert (code, out, err.count("\n")) == (3, "", 1)
-        assert json.loads(err)["message"].startswith("pulse duration inf is beyond the float range")
+        assert json.loads(err)["message"].startswith(message)
 
     def test_non_utf8_program_is_a_parse_error_at_the_bad_byte(self, capsys, tmp_path):
         prog = tmp_path / "latin1.pp"
@@ -227,6 +256,17 @@ class TestResultDocument:
     def test_run_ending_in_a_qubit_superposition_is_not_scored(self):
         doc = self.document("prepare q=g nx=0 ny=0\nrotate theta=pi/2 phi=0\n")
         assert json.dumps(doc["diagnostics"]) == '{"postselect_probability": 1.0}'
+
+    @pytest.mark.parametrize("set_line, pulses", [
+        ("set nmax_x=12 nmax_y=12 guard=4", ["x k=1", "y k=2"]),  # orders differ
+        ("set nmax_x=12 nmax_y=7 guard=4", ["x k=4"]),  # NOON-8 does not fit y
+    ], ids=["mixed-orders", "order-above-truncation"])
+    def test_program_without_one_fitting_order_is_not_scored(self, set_line, pulses):
+        lines = [set_line, "prepare q=e nx=0 ny=0"]
+        lines += [f"pulse axis={p} eta=0.2 omega=1 t=auto_vacuum_pi form=closed" for p in pulses]
+        doc = self.document("\n".join(lines) + "\n")
+        assert doc["steps"][-1]["p_g"] == 1.0
+        assert list(doc["diagnostics"]) == ["postselect_probability"]
 
     def test_value_error_inside_the_scoring_is_not_swallowed(self, monkeypatch):
         def broken(state, n):
@@ -388,9 +428,9 @@ class TestScanIsBatched:
         assert main(["run", str(NOON8_PP)]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["run", str(NOON8_PP), "--noon-n", "0"])
+            main(["run", str(NOON8_PP), "--outcome", "x"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["message"].startswith("argument --noon-n:")
+        assert json.loads(err)["message"].startswith("argument --outcome:")
         assert main(["run", str(NOON8_PP), "--outcome", "g"]) == 0

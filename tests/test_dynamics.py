@@ -58,8 +58,7 @@ class TestCouplingG:
         )
 
     def test_factorial_cancellation(self):
-        with pytest.warns(UserWarning):
-            spec = PulseSpec("x", 4, 1.0, 24.0, 0.0, "closed")
+        spec = PulseSpec("x", 4, 1.0, 24.0, 0.0, "closed")
         assert coupling_g(spec) == pytest.approx(1.0)
 
     def test_zero_omega(self):
@@ -69,7 +68,6 @@ class TestCouplingG:
         spec = PulseSpec("x", 3, 0.2, 15000.0, 0.0, "closed")
         assert coupling_g(spec) == 15000.0 * 0.2**3 / 6
 
-    @pytest.mark.filterwarnings("ignore:eta = ")
     @pytest.mark.parametrize("k, eta, expected", [
         (2, 1e200, math.inf),  # eta^k is beyond the float range
         (171, 0.2, 0.0),  # k! is
@@ -115,7 +113,6 @@ class TestRabiFrequencies:
         ref = np.array([sideband_element(m, k, eta, 15000.0) for m in range(97)])
         np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:eta = ")
     def test_full_table_beyond_the_float_range(self):
         # 40^200 overflows and e^-800 underflows; their product does not
         omega_0 = dynamics.sideband_elements(1, 200, 40.0, 1.0)[0]

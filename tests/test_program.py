@@ -167,7 +167,9 @@ class TestParseErrors:
             (3, "t", "auto_super_pi(0)"),
             (3, "form", "f"),
             (4, "theta", "tau"),
+            (4, "theta", "pi/0"),
             (4, "phi", "nan"),
+            (4, "phi", "-pi/0.0"),
             (5, "q", "x"),
         ],
     )

@@ -181,7 +181,7 @@ class TestExtremePrograms:
             path = os.path.join(tmp, "extreme.pp")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            argv = ["run", path, "--noon-n", "1"] if command == "run" else [
+            argv = ["run", path] if command == "run" else [
                 "scan", path, "--step", "3", "--t-min", "0", "--t-max", "1", "--samples", "3"]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

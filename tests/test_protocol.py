@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from noonsim import (
     MeasureQubit,
@@ -197,7 +197,8 @@ def float_rule(w_vac, w_super, runs):
     best = None
     for m in (m for run in runs for m in run[-_RUN_TAIL:]):
         t = (2.0 * m + 1.5) * math.pi / w_vac
-        infid = 1.0 - float(np.sin(w_super * t)) ** 2
+        s = float(np.sin(w_super * t))
+        infid = 1.0 - s * s  # s ** 2 goes through pow, which can be 1 ulp off
         if best is None or infid < best[1]:
             best = (t, infid)
     return best
@@ -317,6 +318,7 @@ class TestExactSuperpositionSolver:
 
     @settings(max_examples=100, deadline=None)
     @given(pair=near_rational_pairs(), horizon=st.integers(1, 10**4))
+    @example(pair=(1.0, 3.5510204081632653), horizon=2)  # s * s != s ** 2 at m = 2
     def test_near_rational_ratio_walks_the_same_records(self, pair, horizon):
         # within rounding of p / q the candidates improve by rounding-sized
         # steps, so a run can hold thousands of records
