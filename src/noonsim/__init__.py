@@ -4,7 +4,7 @@ motion of a single trapped ion.
 The package is organized in four layers:
 
 - :mod:`noonsim.fock` -- truncated two-mode Fock space: states, ladder
-  operators, associated Laguerre polynomials, tensor embedding.
+  operators, associated Laguerre polynomials.
 - :mod:`noonsim.dynamics` -- sideband pulses and carrier rotations.  The
   runtime propagator is a pair-rotation kernel on the amplitude tensor:
   each sideband pulse is a set of 2x2 rotations on the pairs
@@ -34,7 +34,6 @@ from .fock import (
     QUBIT_LABELS,
     laguerre_assoc,
     ladder,
-    embed,
     basis_state,
 )
 from .dynamics import (
@@ -72,7 +71,7 @@ from .program import Program, ParseError, parse, serialize
 __all__ = [
     "Truncation", "HybridState", "ModeOperator",
     "QUBIT_INDEX", "QUBIT_LABELS",
-    "laguerre_assoc", "ladder", "embed", "basis_state",
+    "laguerre_assoc", "ladder", "basis_state",
     "PulseSpec", "RotationSpec", "PhysicsError",
     "coupling_g", "sideband_hamiltonian", "closed_form_unitary",
     "expm_oracle", "carrier_rotation", "apply_pulse", "scan_pulse",

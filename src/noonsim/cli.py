@@ -95,11 +95,11 @@ def cmd_scan(args) -> int:
                              f"to {args.t_max!r} overflows")
 
     program = _load_program(args.program)
-    if not (0 <= args.step < len(program.steps)):
-        raise PhysicsError(f"step index {args.step} out of range")
+    n = len(program.steps)
+    if not (0 <= args.step < n and isinstance(program.steps[args.step], SidebandPulse)):
+        build_parser().error(f"argument --step: {args.step} is not the index of a "
+                             f"sideband pulse among the {n} steps")
     target = program.steps[args.step]
-    if not isinstance(target, SidebandPulse):
-        raise PhysicsError(f"step {args.step} is not a sideband pulse")
 
     # evolve up to (not including) the scanned pulse
     prefix = list(program.steps[: args.step])

@@ -19,7 +19,7 @@ import numpy as np
 QUBIT_LABELS = ("g", "e")
 QUBIT_INDEX = {"g": 0, "e": 1}
 
-AXES = ("x", "y", "qubit")
+AXES = ("x", "y")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class Truncation:
             return self.dim_x
         if axis == "y":
             return self.dim_y
-        if axis == "qubit":
-            return 2
         raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -109,7 +107,7 @@ def check_normalized(amp: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Dense matrix acting on a single factor (x mode, y mode, or qubit)."""
+    """Dense matrix acting on one mode (x or y)."""
 
     mat: np.ndarray
     axis: str
@@ -119,10 +117,6 @@ class ModeOperator:
             raise ValueError(f"unknown axis {self.axis!r}")
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("operator matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def laguerre_assoc(n: int, k: int, x: float) -> float:
@@ -157,31 +151,6 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
     if which == "raise":
         return ModeOperator(a.conj().T, axis)
     raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
-
-
-def _kron3(q: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.kron(q, np.kron(x, y))
-
-
-def embed(op: ModeOperator, trunc: Truncation) -> np.ndarray:
-    """Lift a single-factor operator to the full (qubit, x, y) space.
-
-    Identity on the other two factors.  Index order of the result matches
-    HybridState.ravel().
-    """
-    if op.dim != trunc.dim_of(op.axis):
-        raise ValueError(
-            f"operator dimension {op.dim} does not match axis {op.axis} "
-            f"dimension {trunc.dim_of(op.axis)}"
-        )
-    iq = np.eye(2, dtype=complex)
-    ix = np.eye(trunc.dim_x, dtype=complex)
-    iy = np.eye(trunc.dim_y, dtype=complex)
-    if op.axis == "qubit":
-        return _kron3(op.mat, ix, iy)
-    if op.axis == "x":
-        return _kron3(iq, op.mat, iy)
-    return _kron3(iq, ix, op.mat)
 
 
 def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:

@@ -88,7 +88,10 @@ def _parse_angle(text: str) -> float:
     den = float(m.group(3) or "1")
     if den == 0:
         raise ValueError(f"invalid angle {text!r} (zero denominator)")
-    return num * math.pi / den
+    value = num * math.pi / den
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite angle {text!r}")
+    return value
 
 
 def _parse_duration(text: str):

@@ -437,8 +437,9 @@ DEFAULT_ETA = 0.2
 
 def _pulse_for_coupling(axis: str, g: float, duration) -> PulseSpec:
     # closed-form pulses depend on (eta, omega) only through g; fix eta and
-    # back out omega so that coupling_g reproduces the requested g
-    # (24 / 0.2^4 = 15000 exactly)
+    # back out omega = 4! / 0.2^4 * g, so that coupling_g gives g in exact
+    # arithmetic.  In floats the coupling is within a few ulps of g, not
+    # equal to it (1.0000000000000002 at g = 1)
     return PulseSpec(axis, 4, DEFAULT_ETA, 15000.0 * g, duration, "closed")
 
 

@@ -29,13 +29,9 @@ def random_program(rng: random.Random) -> Program:
         kind = rng.choice(["pulse", "rotate", "measure"])
         if kind == "pulse":
             form = rng.choice(["closed", "full"])
-            k = 4 if form == "closed" else rng.randint(1, guard)
+            k = rng.randint(1, guard)
             duration = rng.choice(
-                [
-                    rng.uniform(0.0, 5.0),
-                    VacuumPi() if k == 4 else rng.uniform(0.0, 5.0),
-                    SuperpositionPi(rng.randint(1, 2000)) if k == 4 else 0.0,
-                ]
+                [rng.uniform(0.0, 5.0), VacuumPi(), SuperpositionPi(rng.randint(1, 2000))]
             )
             steps.append(
                 SidebandPulse(

@@ -17,6 +17,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The message of the one JSON usage-error line that argv exits 2 with."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "usage"
+    return doc["message"]
+
+
 class TestRun:
     def test_noon8_outcome_g(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "g")
@@ -316,12 +328,9 @@ class TestScan:
         assert float(lines[1].split(",")[0]) == 0.25
 
     def test_non_pulse_step_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "scan", str(NOON8_PP),
-            "--step", "0", "--t-min", "0", "--t-max", "1",
-        )
-        assert code == 3
-        assert json.loads(err)["error"] == "physics"
+        message = usage_error(capsys, "scan", str(NOON8_PP),
+                              "--step", "0", "--t-min", "0", "--t-max", "1")
+        assert message.startswith("argument --step:")
 
     def test_full_form_scan_builds_no_dense_operator(self, capsys, tmp_path, no_dense_operators):
         prog = tmp_path / "full.pp"
@@ -349,25 +358,14 @@ class TestScan:
     def test_bad_flag_is_a_usage_error_naming_it(self, capsys, flag, value):
         argv = {"--t-min": "0", "--t-max": "0.7", "--samples": "4"}
         argv[flag] = value
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", str(NOON8_PP), "--step", "1"]
-                 + [f"{name}={text}" for name, text in argv.items()])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        doc = json.loads(err)
-        assert doc["error"] == "usage"
-        assert doc["message"].startswith(f"argument {flag}:")
+        message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",
+                              *[f"{name}={text}" for name, text in argv.items()])
+        assert message.startswith(f"argument {flag}:")
 
     def test_overflowing_grid_is_a_usage_error_naming_t_max(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", str(NOON8_PP), "--step", "1", "--t-min=-1e308", "--t-max=1e308"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        doc = json.loads(err)
-        assert doc["error"] == "usage"
-        assert doc["message"].startswith("argument --t-max:")
+        message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",
+                              "--t-min=-1e308", "--t-max=1e308")
+        assert message.startswith("argument --t-max:")
 
     def test_overflowing_phase_is_one_physics_error_line(self, capsys):
         code, out, err = run_cli(capsys, "scan", str(NOON8_PP), "--step", "1",
@@ -378,11 +376,9 @@ class TestScan:
         assert doc["message"].startswith("pulse axis=x k=4: phase Omega_n t = inf")
 
     def test_step_out_of_range(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "scan", str(NOON8_PP),
-            "--step", "42", "--t-min", "0", "--t-max", "1",
-        )
-        assert code == 3
+        message = usage_error(capsys, "scan", str(NOON8_PP),
+                              "--step", "42", "--t-min", "0", "--t-max", "1")
+        assert message.startswith("argument --step:")
 
 
 class TestScanIsBatched:
@@ -427,10 +423,6 @@ class TestScanIsBatched:
     def test_usage_error_after_a_run_is_one_json_line(self, capsys):
         assert main(["run", str(NOON8_PP)]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(NOON8_PP), "--outcome", "x"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err)["message"].startswith("argument --outcome:")
+        message = usage_error(capsys, "run", str(NOON8_PP), "--outcome", "x")
+        assert message.startswith("argument --outcome:")
         assert main(["run", str(NOON8_PP), "--outcome", "g"]) == 0

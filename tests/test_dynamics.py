@@ -19,7 +19,6 @@ from noonsim import (
     carrier_rotation,
     closed_form_unitary,
     coupling_g,
-    embed,
     expm_oracle,
     ladder,
     noon_fidelity,
@@ -34,7 +33,7 @@ from noonsim.dynamics import (
     rabi_frequencies,
     sideband_element,
 )
-from noonsim.fock import QUBIT_INDEX, HybridState, ModeOperator
+from noonsim.fock import QUBIT_INDEX, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
 
 TRUNC = Truncation(12, 12, 4)
@@ -349,9 +348,7 @@ class TestPairRotationKernel:
         sigma_plus = np.zeros((2, 2), dtype=complex)
         sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
         a_k = np.linalg.matrix_power(ladder(d, "lower", axis).mat, k)
-        coupling = embed(ModeOperator(sigma_plus, "qubit"), trunc) @ embed(
-            ModeOperator(a_k, axis), trunc
-        )
+        coupling = dynamics._embed_qubit_axis(np.kron(sigma_plus, a_k), axis, trunc)
         top = math.sqrt(math.perm(d - 1, k))  # largest pair frequency at g = 1
         rng = np.random.default_rng(200 + k)
         for _ in range(3):

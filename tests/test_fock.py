@@ -7,7 +7,6 @@ from noonsim import (
     HybridState,
     Truncation,
     basis_state,
-    embed,
     ladder,
     laguerre_assoc,
 )
@@ -76,37 +75,13 @@ class TestLadder:
         with pytest.raises(ValueError):
             ladder(4, "sideways")
 
-
-class TestEmbed:
-    trunc = Truncation(6, 5, 2)
-
-    def test_identity_embeds_to_identity(self):
-        from noonsim.fock import ModeOperator
-
-        full = embed(ModeOperator(np.eye(7, dtype=complex), "x"), self.trunc)
-        state = basis_state("g", 3, 2, self.trunc)
-        assert np.allclose(full @ state.ravel(), state.ravel())
-
-    def test_lower_x_on_fock_state(self):
-        full = embed(ladder(7, "lower", "x"), self.trunc)
-        state = basis_state("g", 4, 4, self.trunc)
-        out = (full @ state.ravel()).reshape(state.amp.shape)
-        assert out[0, 3, 4] == pytest.approx(2.0)  # sqrt(4)
-        assert np.sum(np.abs(out) ** 2) == pytest.approx(4.0)
-
-    def test_lower_y_on_vacuum(self):
-        full = embed(ladder(6, "lower", "y"), self.trunc)
-        state = basis_state("e", 4, 0, self.trunc)
-        assert np.allclose(full @ state.ravel(), 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            embed(ladder(9, "lower", "x"), self.trunc)
-
-    def test_cross_axis_operators_commute(self):
-        ax = embed(ladder(7, "lower", "x"), self.trunc)
-        by = embed(ladder(6, "raise", "y"), self.trunc)
-        assert np.array_equal(ax @ by, by @ ax)
+    def test_only_the_two_modes_are_axes(self):
+        trunc = Truncation(6, 5, 2)
+        assert (trunc.dim_of("x"), trunc.dim_of("y")) == (7, 6)
+        with pytest.raises(ValueError, match="unknown axis"):
+            trunc.dim_of("qubit")
+        with pytest.raises(ValueError, match="unknown axis"):
+            ladder(2, "lower", "qubit")
 
 
 class TestHybridState:

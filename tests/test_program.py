@@ -168,6 +168,7 @@ class TestParseErrors:
             (3, "form", "f"),
             (4, "theta", "tau"),
             (4, "theta", "pi/0"),
+            (4, "theta", "1" + "9" * 309 + "pi"),
             (4, "phi", "nan"),
             (4, "phi", "-pi/0.0"),
             (5, "q", "x"),

@@ -6,8 +6,6 @@ from pathlib import Path
 import noonsim
 
 ROOT = Path(__file__).resolve().parent.parent
-# public helpers that only tests call, to build their own reference operators
-REFERENCE_HELPERS = ["embed"]
 
 
 def referenced_names(path: Path) -> set[str]:
@@ -34,4 +32,4 @@ def test_every_public_name_has_a_caller():
     files.append(ROOT / "tests" / "test_acceptance.py")
     exports = ROOT / "src" / "noonsim" / "__init__.py"  # where __all__ names them all
     used = set().union(*(referenced_names(p) for p in files if p != exports))
-    assert [name for name in noonsim.__all__ if name not in used] == REFERENCE_HELPERS
+    assert [name for name in noonsim.__all__ if name not in used] == []
