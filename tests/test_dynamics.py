@@ -200,6 +200,50 @@ class TestClosedFormUnitary:
         assert np.max(np.abs(marg(out) - marg(state))) <= 1e-12
 
 
+class TestEmbedQubitAxis:
+    """The one lift of a (qubit, driven mode) operator into the full space."""
+
+    trunc = Truncation(6, 5, 2)
+
+    def lift(self, mode_op, axis, qubit_op=np.eye(2)):
+        return dynamics._embed_qubit_axis(np.kron(qubit_op, mode_op), axis, self.trunc)
+
+    def test_identity_lifts_to_identity(self):
+        full = self.lift(np.eye(7, dtype=complex), "x")
+        state = basis_state("g", 3, 2, self.trunc)
+        assert np.array_equal(full, np.eye(self.trunc.dim))
+        assert np.allclose(full @ state.ravel(), state.ravel())
+
+    def test_lower_x_on_fock_state(self):
+        full = self.lift(ladder(7, "lower", "x").mat, "x")
+        state = basis_state("g", 4, 4, self.trunc)
+        out = (full @ state.ravel()).reshape(state.amp.shape)
+        assert out[0, 3, 4] == pytest.approx(2.0)  # sqrt(4)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(4.0)
+
+    def test_lower_y_on_vacuum(self):
+        full = self.lift(ladder(6, "lower", "y").mat, "y")
+        state = basis_state("e", 4, 0, self.trunc)
+        assert np.allclose(full @ state.ravel(), 0.0)
+
+    def test_qubit_factor_acts_on_the_qubit_index(self):
+        sigma_plus = np.zeros((2, 2), dtype=complex)
+        sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
+        full = self.lift(ladder(6, "raise", "y").mat, "y", sigma_plus)
+        out = full @ basis_state("g", 2, 3, self.trunc).ravel()
+        expected = 2.0 * basis_state("e", 2, 4, self.trunc).ravel()  # sqrt(3 + 1)
+        assert np.allclose(out, expected)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            self.lift(ladder(9, "lower", "x").mat, "x")
+
+    def test_cross_axis_operators_commute(self):
+        ax = self.lift(ladder(7, "lower", "x").mat, "x")
+        by = self.lift(ladder(6, "raise", "y").mat, "y")
+        assert np.array_equal(ax @ by, by @ ax)
+
+
 class TestExpmOracle:
     def test_zero_hamiltonian(self):
         assert np.allclose(expm_oracle(np.zeros((6, 6)), 1.3), np.eye(6))
