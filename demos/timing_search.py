@@ -5,11 +5,8 @@ sqrt(24) g) and |e,4> -> |g,8> (frequency sqrt(1680) g) at the same time.
 Their ratio sqrt(70) is irrational, so no duration is exact for both.
 Of the candidates t_m = (2m + 3/2) pi / (sqrt(24) g), m = 0..M, which are
 exact for the first transition, the engine takes the one that best hits
-the second.  It finds that candidate by an exact best-approximation
-search that walks runs of evenly spaced record candidates, one look-up
-per run in a table of Euclid steps, and evaluates only the last 16
-records of each run in floating point.  The tests count at most log_phi(M) + 2 runs (phi the
-golden ratio), so large horizons are cheap.
+the second, found by ``noonsim.protocol.solve_duration``, whose exact
+search stays cheap at large horizons.
 
 This script shows how the predicted timing infidelity and the end-to-end
 NOON fidelity improve as the search horizon grows.  Both the duration and

@@ -16,12 +16,9 @@ The package is organized in four layers:
   four-phonon unitary, eigendecomposition matrix exponential, dense carrier
   rotation) are kept as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
-  (exact for the vacuum pulse; for the superposition pulse an exact
-  best-approximation search over runs of evenly spaced record candidates,
-  one look-up per run in a table of Euclid steps and a float evaluation of
-  the last 16 records of each run, with at most log_phi(M) + 2 runs within
-  a horizon M as counted in the tests), measurement post-selection and NOON
-  fidelity scoring.
+  (exact for the vacuum pulse; for the superposition pulse the best
+  candidate within a horizon, found by ``solve_duration``), measurement
+  post-selection and NOON fidelity scoring.
 - :mod:`noonsim.program` / :mod:`noonsim.cli` -- the pulse-program text
   format, parser/serializer, and the ``run`` / ``scan`` command line.
 """

@@ -1,7 +1,8 @@
 """Command line: run a pulse program, or scan one pulse's duration.
 
-Exit codes: 0 success, 2 parse or usage error, 3 physics/guard error, 4 I/O
-error.  Errors go to stderr as one JSON object so callers can machine-read
+Exit codes: 0 success, 2 parse or usage error, 3 physics/guard error (a
+truncation whose state does not fit in memory included), 4 I/O error.
+Errors go to stderr as one JSON object so callers can machine-read
 them; a usage error (a bad or missing flag) is ``{"error": "usage"}`` with
 argparse's message naming the flag.
 """
@@ -201,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _emit_error("parse", str(exc), line=exc.line, col=exc.col)
         return EXIT_PARSE
-    except PhysicsError as exc:
+    except (PhysicsError, MemoryError) as exc:
         _emit_error("physics", str(exc))
         return EXIT_PHYSICS
     except OSError as exc:

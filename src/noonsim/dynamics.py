@@ -1,6 +1,7 @@
 """Sideband Hamiltonians and propagators.
 
-The k-th sideband couples |g, n+k> to |e, n> with matrix element
+The k-th sideband couples |g, n+k> to |e, n> with the displacement-operator
+matrix element Omega <n| e^{i eta (a + a^dag)} |n+k> / i^k, that is
 
     Omega_n = Omega * exp(-eta^2/2) * eta^k * L_n^(k)(eta^2) * sqrt(n! / (n+k)!)
 
@@ -30,9 +31,10 @@ The dense dim x dim builders -- ``sideband_hamiltonian``,
 tests compare the runtime propagators against; nothing on the runtime path
 builds them.
 
-Phase convention: the sideband coupling is taken real and positive.  The
-i^k phase of the plane-wave expansion is a global gauge on each pulse and
-is dropped; fidelities are insensitive to it.
+Phase convention: the sideband coupling is taken real.  The i^k phase of
+the plane-wave expansion is a global gauge on each pulse and is dropped;
+fidelities are insensitive to it.  Beyond the Lamb-Dicke regime the
+Laguerre factor, and so Omega_n, changes sign.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .fock import (
     HybridState,
     Truncation,
     check_normalized,
-    laguerre_assoc,
+    laguerre_table,
 )
 
 if TYPE_CHECKING:
@@ -167,57 +169,36 @@ def _driven_dim(spec: PulseSpec, trunc: Truncation) -> int:
     return d
 
 
-def sideband_element(n: int, k: int, eta: float, omega: float) -> float:
-    """<e, n| H |g, n+k> of the k-th sideband Hamiltonian."""
-    lg_fact = math.lgamma(n + 1) - math.lgamma(n + k + 1)
-    return (
-        omega
-        * math.exp(-eta * eta / 2.0)
-        * eta**k
-        * laguerre_assoc(n, k, eta * eta)
-        * math.exp(0.5 * lg_fact)
-    )
-
-
 def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     """Full-space Hermitian sideband Hamiltonian for one pulse.
 
-    Couples |e, n> <-> |g, n+k> on the driven axis; all other elements
-    vanish.
+    Couples |e, n> <-> |g, n+k> on the driven axis with the full-form
+    elements ``sideband_elements``, whatever ``spec.form`` says; all other
+    elements vanish.
     """
     d = _driven_dim(spec, trunc)
-    g_idx, e_idx = QUBIT_INDEX["g"], QUBIT_INDEX["e"]
+    n = np.arange(d - spec.k)
+    e, g = QUBIT_INDEX["e"] * d + n, QUBIT_INDEX["g"] * d + n + spec.k
     h = np.zeros((2 * d, 2 * d), dtype=complex)
-    for n in range(d - spec.k):
-        elem = sideband_element(n, spec.k, spec.eta, spec.omega)
-        h[e_idx * d + n, g_idx * d + n + spec.k] = elem
-        h[g_idx * d + n + spec.k, e_idx * d + n] = elem
+    h[e, g] = h[g, e] = sideband_elements(d - spec.k, spec.k, spec.eta, spec.omega)
     return _embed_qubit_axis(h, spec.axis, trunc)
 
 
 def sideband_elements(count: int, k: int, eta: float, omega: float) -> np.ndarray:
-    """``sideband_element(n, k, eta, omega)`` for n = 0 .. count-1, in one sweep.
+    """<e, n| H |g, n+k> of the k-th sideband Hamiltonian for n = 0 .. count-1.
 
-    One pass of the Laguerre recurrence in n gives every L_n^(k)(eta^2);
-    the arithmetic per n is that of ``sideband_element``, so the values are
-    bit-identical to it.
+    The full-form element of the module docstring, with every
+    L_n^(k)(eta^2) from one ``laguerre_table`` sweep.
     """
     x = eta * eta
     try:
         scale = omega * math.exp(-x / 2.0) * eta**k
     except OverflowError:
         scale = _from_logs(omega, eta, k, -x / 2.0)
-    out = []
-    l_prev, l_cur = 0.0, 1.0  # L_{n-1}, L_n, starting at n = 0
-    for n in range(count):
-        if n == 1:
-            l_prev, l_cur = l_cur, k + 1.0 - x
-        elif n > 1:
-            m = n - 1
-            l_prev, l_cur = l_cur, ((2 * m + k + 1 - x) * l_cur - (m + k) * l_prev) / (m + 1)
-        lg_fact = math.lgamma(n + 1) - math.lgamma(n + k + 1)
-        out.append(scale * l_cur * math.exp(0.5 * lg_fact))
-    return np.array(out)
+    return np.array([
+        scale * lag * math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1)))
+        for n, lag in enumerate(laguerre_table(count, k, x))
+    ])
 
 
 def closed_form_frequencies(g: float, k: int, n) -> np.ndarray:
@@ -245,8 +226,7 @@ def rabi_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     an auto duration is solved from Omega_0 and Omega_k, which the table
     holds even when the mode is too small for the pair at n = k.
     ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), k, n)``,
-    the leading order in eta; ``form="full"`` gives
-    ``sideband_element(n, k, eta, omega)``.
+    the leading order in eta; ``form="full"`` gives ``sideband_elements``.
     """
     count = max(_driven_dim(spec, trunc) - spec.k, spec.k + 1)
     if spec.form == "closed":

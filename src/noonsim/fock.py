@@ -119,21 +119,23 @@ class ModeOperator:
             raise ValueError("operator matrix must be square")
 
 
-def laguerre_assoc(n: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^(k)(x).
+def laguerre_table(count: int, k: int, x: float) -> list[float]:
+    """Associated Laguerre polynomials L_0^(k)(x) .. L_{count-1}^(k)(x), in one sweep.
 
     Forward three-term recurrence in n, which is stable for the x >= 0,
     small n and k needed here.
     """
+    table = [1.0, k + 1.0 - x][:count]
+    for m in range(1, count - 1):
+        table.append(((2 * m + k + 1 - x) * table[m] - (m + k) * table[m - 1]) / (m + 1))
+    return table
+
+
+def laguerre_assoc(n: int, k: int, x: float) -> float:
+    """Associated Laguerre polynomial L_n^(k)(x): entry n of ``laguerre_table``."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be non-negative")
-    l_prev = 1.0  # L_0
-    if n == 0:
-        return l_prev
-    l_cur = k + 1.0 - x  # L_1
-    for m in range(1, n):
-        l_prev, l_cur = l_cur, ((2 * m + k + 1 - x) * l_cur - (m + k) * l_prev) / (m + 1)
-    return l_cur
+    return laguerre_table(n + 1, k, x)[n]
 
 
 def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:

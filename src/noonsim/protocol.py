@@ -11,13 +11,8 @@ durations matter:
   The frequency ratio sqrt(70) is irrational, so no duration serves both
   exactly.  Of the candidates t_m = (2m + 3/2) pi / (sqrt(24) g),
   m = 0..M, which are exact for the first transition, we take the one that
-  best hits the second.  An exact best-approximation search on the
-  rational ratio of the two frequencies walks the records (the candidates
-  nearer than every earlier one) in runs of evenly spaced records, one
-  look-up per run in a table of Euclid steps built once, with no O(M) array
-  (``solve_duration``).  Tests count at most log_phi(M) + 2 runs, phi the
-  golden ratio.  Only the last 16 records of each run are evaluated in
-  floating point.  The residual is reported, not hidden.
+  best hits the second, found by the exact search of ``solve_duration``.
+  The residual is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -55,10 +50,7 @@ class SuperpositionPi:
     """Best duration within the horizon for the simultaneous |g,k>/|e,k> transfer.
 
     Chosen among the ``horizon + 1`` candidates t_m = (2m + 3/2) pi / w_vac,
-    m = 0..horizon, by an exact search that walks runs of evenly spaced
-    records, one table look-up each, at most log_phi(horizon) + 2 runs as
-    counted in tests; only the last 16 records of each run are evaluated in
-    floating point (``solve_duration``).
+    m = 0..horizon, by ``solve_duration``.
     """
 
     horizon: int = 1000
@@ -331,7 +323,12 @@ def _nearer_steps(a: int, c: int, horizon: int) -> tuple[list, list]:
 
 
 def vacuum_pulse_time(g: float) -> float:
-    """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g)."""
+    """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g).
+
+    Solved for the coupling g exactly.  ``build_noon8(g, ...)`` drives
+    omega = 15000 g, whose coupling is only within a few ulps of g, so its
+    run may solve a duration that differs in the last bits.
+    """
     return solve_duration(VacuumPi(), *closed_form_frequencies(g, 4, [0, 4]).tolist())[0]
 
 
@@ -342,7 +339,10 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     |e,4> -> |g,8> (frequency sqrt(1680) g) at once; the frequency ratio
     sqrt(70) is irrational, so the returned duration is exact for the
     first transition and as close as the horizon allows for the second.
-    Returns (t, predicted_infidelity).
+    Returns (t, predicted_infidelity), solved for the coupling g exactly:
+    the run of ``build_noon8(g, g, horizon)``, whose coupling is within a
+    few ulps of g, may differ in the last bits (at g = 1 this gives
+    t = 481.91809868332047, the run 481.91809868332035).
     """
     return solve_duration(
         SuperpositionPi(horizon), *closed_form_frequencies(g, 4, [0, 4]).tolist()

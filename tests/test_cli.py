@@ -137,6 +137,17 @@ class TestRun:
         assert code == 3
         assert json.loads(err)["error"] == "physics"
 
+    def test_truncation_beyond_memory_is_one_physics_error_line(self, capsys, tmp_path):
+        # 2 x 10^14 complex amplitudes: numpy refuses 2.84 PiB without allocating
+        prog = tmp_path / "huge.pp"
+        prog.write_text("set nmax_x=10000000 nmax_y=10000000 guard=4\n"
+                        "prepare q=e nx=0 ny=0\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert doc["error"] == "physics"
+        assert doc["message"].startswith("Unable to allocate 2.84 PiB")
+
     def test_overflowing_phase_is_one_physics_error_line(self, capsys, tmp_path):
         prog = tmp_path / "long.pp"
         prog.write_text(NOON8_PP.read_text().replace("t=auto_vacuum_pi", "t=1e308", 1))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from noonsim.dynamics import (
     closed_form_frequencies,
     guard_band_population,
     rabi_frequencies,
-    sideband_element,
 )
 from noonsim.fock import QUBIT_INDEX, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
@@ -102,15 +102,52 @@ class TestSidebandHamiltonian:
             sideband_hamiltonian(closed_spec(), Truncation(12, 12, 2))
 
 
+@functools.lru_cache(maxsize=None)
+def displacement(eta: float) -> np.ndarray:
+    """e^{i eta (a + a^dag)} on 220 levels, from ``ladder`` and ``expm_oracle``.
+
+    For eta <= 1.5, growing the basis to 320 levels moves its elements up
+    to level 102 by less than 1e-14, so the truncation plays no role.
+    """
+    a = ladder(220, "lower").mat
+    return expm_oracle(a + a.conj().T, -eta)
+
+
+@functools.lru_cache(maxsize=None)
+def displacement_normal_order(eta: float) -> np.ndarray:
+    """The same operator on 103 levels as e^{-eta^2/2} e^{i eta a^dag} e^{i eta a}.
+
+    Each factor is the finite power series of the nilpotent truncated
+    ladder, so every element is exact up to rounding, however small it is.
+    """
+    a = ladder(103, "lower").mat
+    e_a = term = np.eye(103, dtype=complex)
+    for j in range(1, 103):
+        term = term @ (1j * eta * a) / j
+        e_a = e_a + term
+    return math.exp(-eta * eta / 2.0) * e_a.T @ e_a  # e^{i eta a^dag} is e^{i eta a}.T
+
+
+def displaced_pairs(op: np.ndarray, k: int, levels) -> np.ndarray:
+    """<n| op |n+k> / i^k for each n of ``levels``: Omega_n at Omega = 1."""
+    n = np.asarray(levels)
+    return op[n, n + k] / 1j**k
+
+
 class TestRabiFrequencies:
     @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize("eta", [0.05, 0.2, 0.4])
-    def test_full_table_matches_sideband_element(self, k, eta):
+    @pytest.mark.parametrize("eta", [0.05, 0.2, 0.4, 1.5])
+    def test_full_table_is_the_displacement_operator_element(self, k, eta):
         # d - k = 97 pairs on the driven mode
-        table = rabi_frequencies(PulseSpec("x", k, eta, 15000.0, 0.0, "full"),
+        table = rabi_frequencies(PulseSpec("x", k, eta, 1.0, 0.0, "full"),
                                  Truncation(96 + k, 6, 6))
-        ref = np.array([sideband_element(m, k, eta, 15000.0) for m in range(97)])
-        np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
+        ref = displaced_pairs(displacement(eta), k, range(97))
+        assert np.max(np.abs(ref.imag)) <= 2e-13
+        assert np.max(np.abs(table - ref.real)) <= 2e-13
+        if eta <= 0.4:
+            # a relative check for the entries far below the absolute bound
+            ref = displaced_pairs(displacement_normal_order(eta), k, range(97))
+            np.testing.assert_allclose(table, ref.real, rtol=1e-10, atol=0.0)
 
     def test_full_table_beyond_the_float_range(self):
         # 40^200 overflows and e^-800 underflows; their product does not
@@ -128,8 +165,8 @@ class TestRabiFrequencies:
         small = rabi_frequencies(spec, Truncation(3, 3, 3))
         assert small.shape == (4,)
         assert np.array_equal(small, full[:4])
-        ref = np.array([sideband_element(m, 3, 0.2, 15000.0) for m in levels])
-        np.testing.assert_allclose(full[levels], ref, rtol=1e-14, atol=0.0)
+        ref = 15000.0 * displaced_pairs(displacement_normal_order(0.2), 3, levels).real
+        np.testing.assert_allclose(full[levels], ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("g", [1.0, 6.666666666666667e-5, 0.7, 2.3])
     def test_closed_table_at_k4_is_the_four_phonon_product(self, g):
@@ -372,8 +409,11 @@ class TestPairRotationKernel:
         # n_max_x != n_max_y, so applying the pulse to the wrong axis shows
         trunc = Truncation(7, 10, k)
         rng = np.random.default_rng(100 + k)
-        for _ in range(3):
-            spec = PulseSpec(axis, k, rng.uniform(0.05, 0.6), rng.uniform(1.0, 50.0),
+        # three random eta, then two beyond the Lamb-Dicke regime, where
+        # the Laguerre factor turns some Omega_n negative
+        for eta in (None, None, None, 1.0, 1.5):
+            eta = rng.uniform(0.05, 0.6) if eta is None else eta
+            spec = PulseSpec(axis, k, eta, rng.uniform(1.0, 50.0),
                              rng.uniform(0.0, 3.0), "full")
             state = random_state(rng, trunc)
             out, leakage = apply_pulse(state, spec)
