@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import PhysicsError, scan_pulse
 from .fock import QUBIT_LABELS
 from .program import ParseError, Program, parse, serialize, step_keyword
-from .protocol import SidebandPulse, noon_fidelity, qubit_level, run_sequence
+from .protocol import MeasureQubit, SidebandPulse, noon_fidelity, qubit_level, run_sequence
 
 SCHEMA_VERSION = 2
 
@@ -79,6 +79,9 @@ def result_document(
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
+    if args.outcome and not any(isinstance(step, MeasureQubit) for step in program.steps):
+        build_parser().error(f"argument --outcome: {args.outcome!r} overrides no measurement; "
+                             "the program has no measure step")
     result = run_sequence(list(program.steps), program.trunc, outcome_override=args.outcome)
     doc = result_document(program, result, dump_states=args.dump_states)
     _write_out(args.out, json.dumps(doc, indent=2) + "\n")

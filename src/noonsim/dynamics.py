@@ -18,7 +18,9 @@ builds or one the caller already built (the protocol engine solves auto
 durations from the same table); ``scan_pulse`` builds the table once and
 sends a duration scan through it in chunks of about 2^14 amplitudes,
 returning only the qubit populations and leakage of each sample.  Both
-reduce the guard band with one sum, ``_guard_sum``.  The kernel checks its
+take the qubit populations from the norm check, ``check_normalized``, and
+the leakage from one sum, ``_guard_sum``, that squares only the guard
+band.  The kernel checks its
 table of phases Omega_n t before taking cos and sin, so an overflowing
 duration or table is a ``PhysicsError`` naming the pulse.
 ``apply_rotation`` applies a carrier pulse as one 2x2 matrix on the qubit
@@ -314,18 +316,19 @@ def apply_operator(u: np.ndarray, state: HybridState) -> HybridState:
 
 def guard_band_population(state: HybridState, axis: str) -> float:
     """Probability mass in the top ``guard`` Fock levels of one axis."""
-    return float(_guard_sum(np.abs(state.amp) ** 2, axis, state.trunc))
+    return float(_guard_sum(state.amp, axis, state.trunc))
 
 
-def _guard_sum(p: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
-    """Sum of the populations ``p`` (..., 2, dx, dy) in the top ``guard`` levels of one axis.
+def _guard_sum(amp: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
+    """Population of the amplitudes ``amp`` (..., 2, dx, dy) in the top ``guard`` levels of one axis.
 
-    One sum for a single state and for a batch of them, so a scan row
-    reduces in the same order as ``apply_pulse``.
+    Squares only the band, as re^2 + im^2 on the float view.  One sum for
+    a single state and for a batch of them, so a scan row reduces in the
+    same order as ``apply_pulse``.
     """
     top = trunc.dim_of(axis) - trunc.guard
-    band = p[..., top:, :] if axis == "x" else p[..., top:]
-    return np.sum(band, axis=(-3, -2, -1))
+    band = (amp[..., top:, :] if axis == "x" else amp[..., top:]).view(float)
+    return np.add.reduce(band * band, axis=(-3, -2, -1))
 
 
 # amplitudes rotated per chunk of scan samples: a few hundred KB of complex128
@@ -393,8 +396,9 @@ def scan_pulse(
     of each duration followed by ``qubit_populations``: the frequency table
     is built once, and the samples go through ``_rotate_pairs`` in chunks
     of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
-    ``HybridState`` checks its own, with the qubit populations reduced in
-    the same order and the leakage by the same ``_guard_sum``.
+    ``HybridState`` checks its own, by ``check_normalized``, whose
+    populations are the rows' p_g and p_e, and with the leakage from the
+    same ``_guard_sum``.
     """
     ts = np.asarray(durations, dtype=float)
     if not np.isfinite(ts).all():
@@ -405,9 +409,7 @@ def scan_pulse(
     for start in range(0, len(ts), chunk):
         rows = slice(start, start + chunk)
         amp = _rotate_pairs(state.amp, spec, freq, ts[rows])
-        check_normalized(amp)
-        p = np.abs(amp) ** 2
-        pops = np.sum(p, axis=(2, 3))
+        pops = check_normalized(amp)
         p_g[rows], p_e[rows] = pops[:, 0], pops[:, 1]
-        leakage[rows] = _guard_sum(p, spec.axis, state.trunc)
+        leakage[rows] = _guard_sum(amp, spec.axis, state.trunc)
     return p_g, p_e, leakage

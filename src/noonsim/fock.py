@@ -6,13 +6,16 @@ state vectors are bit-comparable across implementations.  The qubit index
 is 0 for |g> and 1 for |e>.
 
 Everything here is a pure function of its inputs; states and operators are
-never mutated after construction.
+never mutated after construction.  ``check_normalized`` is the one place
+that reduces |psi|^2: it keeps the qubit axis, checks P(g) + P(e) = 1 and
+returns the pair, and a ``HybridState`` carries the pair its own check
+computed, so ``qubit_populations`` reduces nothing again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,10 +67,15 @@ class Truncation:
 
 @dataclass(frozen=True)
 class HybridState:
-    """Complex amplitudes over (qubit, n_x, n_y), with squared norm 1."""
+    """Complex amplitudes over (qubit, n_x, n_y), with squared norm 1.
+
+    The state carries the qubit populations that its norm check computed,
+    outside the constructor, the comparison and the repr.
+    """
 
     amp: np.ndarray
     trunc: Truncation
+    _populations: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (2, self.trunc.dim_x, self.trunc.dim_y)
@@ -75,7 +83,7 @@ class HybridState:
             raise ValueError(
                 f"amplitude shape {self.amp.shape} does not match truncation {expected}"
             )
-        check_normalized(self.amp)
+        object.__setattr__(self, "_populations", tuple(check_normalized(self.amp).tolist()))
 
     def ravel(self) -> np.ndarray:
         return self.amp.reshape(-1)
@@ -84,25 +92,29 @@ class HybridState:
         return float(abs(self.amp[QUBIT_INDEX[q], nx, ny]) ** 2)
 
     def qubit_populations(self) -> tuple[float, float]:
-        """(P(g), P(e))."""
-        p = np.sum(np.abs(self.amp) ** 2, axis=(1, 2))
-        return float(p[0]), float(p[1])
+        """(P(g), P(e)), as the norm check computed them."""
+        return self._populations
 
 
-def check_normalized(amp: np.ndarray) -> None:
-    """Raise ValueError unless each (2, dx, dy) tensor of ``amp`` has squared norm 1.
+def check_normalized(amp: np.ndarray) -> np.ndarray:
+    """The qubit populations of ``amp``; ValueError unless each tensor has squared norm 1.
 
-    ``amp`` is one state's tensor or a stack of them along leading axes;
-    the first failing one is reported.
+    ``amp`` is one (2, dx, dy) state tensor or a stack of them along leading
+    axes, and the result has the shape of ``amp[..., 0, 0]``: P(g) and P(e)
+    of each.  Their sum is the squared norm checked; the first failing
+    tensor is reported.
     """
-    # an elementwise sum, not a BLAS call: np.vdot with several BLAS
-    # threads costs milliseconds per state
+    # an elementwise sum of re^2 and im^2, not np.abs or a BLAS call: np.vdot
+    # with several BLAS threads costs milliseconds per state
     v = amp.view(float)
-    for n2 in np.add.reduce(v * v, axis=(-3, -2, -1)).reshape(-1).tolist():
+    pops = np.add.reduce(v * v, axis=(-2, -1))
+    for p_g, p_e in pops.reshape(-1, 2).tolist():
+        n2 = p_g + p_e
         if not math.isfinite(n2):
             raise ValueError("non-finite amplitude")
         if abs(n2 - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized: |psi|^2 = {n2}")
+    return pops
 
 
 @dataclass(frozen=True)

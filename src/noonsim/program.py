@@ -1,8 +1,9 @@
 """Pulse-program text format: parser and canonical serializer.
 
 One step per line, ``keyword key=value ...``; ``#`` starts a comment and
-blank lines are ignored.  Config lines precede steps, and the first step
-prepares the initial state; ``demos/noon8.pp`` is a complete program.
+blank lines are ignored.  At most one config line, ``set``, precedes the
+steps, and the first step prepares the initial state; ``demos/noon8.pp``
+is a complete program.
 
 The format is written down once, in the table ``_FORMAT``: each keyword
 names what its line builds and its keys in canonical order, and each key
@@ -192,6 +193,7 @@ def _split_fields(tokens: list[tuple[str, int]], allowed: list[str], line: int) 
 def parse(text: str) -> Program:
     """Parse pulse-program text; raises ParseError with line/column."""
     trunc = Truncation()
+    set_line = None
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
@@ -203,6 +205,8 @@ def parse(text: str) -> Program:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
         if steps and line.first_only:
             raise ParseError(line.first_only, lineno, kw_col)
+        if line.builds is Truncation and set_line is not None:
+            raise ParseError(f"the truncation is already set on line {set_line}", lineno, kw_col)
         if not steps and line.builds not in (Truncation, Prepare):
             raise ParseError("the first step must be a prepare", lineno, kw_col)
         fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
@@ -223,7 +227,7 @@ def parse(text: str) -> Program:
                     message = f"{key}={values[key]} is outside the truncation, 0..{top}"
                     raise ParseError(message, lineno, fields[key][1])
         if line.builds is Truncation:
-            trunc = obj
+            trunc, set_line = obj, lineno
         else:
             steps.append(obj)
 

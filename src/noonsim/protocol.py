@@ -371,15 +371,16 @@ def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, floa
 
 
 def _measure(state: HybridState, outcome: str) -> tuple[HybridState, float]:
+    """Project onto one qubit level; the branch probability is that level's population."""
     idx = QUBIT_INDEX[outcome]
-    amp = np.zeros_like(state.amp)
-    amp[idx] = state.amp[idx]
-    prob = float(np.sum(np.abs(amp) ** 2))
+    prob = state.qubit_populations()[idx]
     if prob < 1e-15:
         raise PhysicsError(
             f"measurement branch {outcome!r} has probability {prob:.3e} (degenerate)"
         )
-    return HybridState(amp / math.sqrt(prob), state.trunc), prob
+    amp = np.zeros_like(state.amp)
+    amp[idx] = state.amp[idx] / math.sqrt(prob)
+    return HybridState(amp, state.trunc), prob
 
 
 def run_sequence(
@@ -391,8 +392,9 @@ def run_sequence(
 ) -> RunResult:
     """Execute a pulse program step by step, one ``StepRecord`` per step.
 
-    A sideband pulse builds its table of Rabi frequencies once, and both its
-    duration and its propagation come from it.  Measurements project onto
+    The run builds one table of Rabi frequencies per distinct pulse, by its
+    (axis, k, eta, omega, form), and a pulse takes both its duration and its
+    propagation from that table.  Measurements project onto
     the requested qubit level (or the override), record the branch
     probability, and renormalize.  Every record keeps its state.  Leakage
     above ``leakage_limit`` raises; pass ``math.inf`` to disable the check.
@@ -404,20 +406,26 @@ def run_sequence(
 
     state = basis_state(steps[0].q, steps[0].nx, steps[0].ny, trunc)
     records = [StepRecord(0, state, 0.0)]
+    tables = {}
 
     for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, SidebandPulse):
-            freq = rabi_frequencies(step.spec, trunc)
-            spec, timing_infid = resolve_duration(step.spec, freq)
+            spec = step.spec
+            key = (spec.axis, spec.k, spec.eta, spec.omega, spec.form)
+            freq = tables.get(key)
+            if freq is None:
+                freq = tables[key] = rabi_frequencies(spec, trunc)
+            spec, timing_infid = resolve_duration(spec, freq)
             state, leakage = apply_pulse(state, spec, freq)
             if leakage > leakage_limit:
                 raise PhysicsError(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "
                     f"{leakage_limit:.3e}; increase the truncation"
                 )
-            rec = StepRecord(i, state, leakage)
-            if not isinstance(step.spec.duration, (int, float)):
-                rec = replace(rec, duration=float(spec.duration), timing_infidelity=timing_infid)
+            if isinstance(step.spec.duration, (int, float)):
+                rec = StepRecord(i, state, leakage)
+            else:
+                rec = StepRecord(i, state, leakage, float(spec.duration), timing_infid)
         elif isinstance(step, Rotate):
             state = apply_rotation(state, step.spec)
             rec = StepRecord(i, state, 0.0)

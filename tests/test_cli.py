@@ -2,9 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from noonsim import cli, dynamics, parse, protocol, run_sequence
+from noonsim import cli, dynamics, fock, parse, protocol, run_sequence
 from noonsim.fock import HybridState
 from noonsim.cli import main, result_document
 
@@ -223,7 +224,26 @@ class TestRun:
         with pytest.raises(ValueError, match="not physics"):
             main(["run", str(NOON8_PP)])
 
-    def test_run_builds_one_frequency_table_per_pulse(self, capsys, monkeypatch):
+    def test_second_set_line_is_a_parse_error(self, capsys, tmp_path):
+        prog = tmp_path / "twice.pp"
+        first, second = "set nmax_x=12 nmax_y=12 guard=4\n", "set nmax_x=6 nmax_y=6 guard=4\n"
+        prog.write_text(NOON8_PP.read_text().replace(first, first + second))
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 3, 1)
+        assert "already set on line 2" in doc["message"]
+
+    @pytest.mark.parametrize("outcome", ["g", "e"])
+    def test_outcome_without_a_measure_step_is_a_usage_error(self, capsys, tmp_path, outcome):
+        prog = tmp_path / "unmeasured.pp"
+        prog.write_text("prepare q=e nx=0 ny=0\nrotate theta=pi/2 phi=0\n")
+        message = usage_error(capsys, "run", str(prog), "--outcome", outcome)
+        assert message.startswith("argument --outcome:")
+        assert "no measure step" in message
+        assert main(["run", str(prog)]) == 0
+
+    def test_run_builds_one_frequency_table_per_distinct_pulse(self, capsys, monkeypatch):
         tables = []
         for module in (dynamics, protocol):
             def counted(spec, n, table=module.rabi_frequencies):
@@ -232,8 +252,9 @@ class TestRun:
             monkeypatch.setattr(module, "rabi_frequencies", counted)
         assert main(["run", str(NOON8_PP)]) == 0
         steps = parse(NOON8_PP.read_text()).steps
-        assert tables == [s.spec for s in steps if isinstance(s, protocol.SidebandPulse)]
-        assert len(tables) == 4
+        # the vacuum and superposition pulses of one axis differ only in duration
+        assert tables == [s.spec for s in steps[1:4] if isinstance(s, protocol.SidebandPulse)]
+        assert [spec.axis for spec in tables] == ["x", "y"]
 
     def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP))
@@ -437,3 +458,26 @@ class TestScanIsBatched:
         message = usage_error(capsys, "run", str(NOON8_PP), "--outcome", "x")
         assert message.startswith("argument --outcome:")
         assert main(["run", str(NOON8_PP), "--outcome", "g"]) == 0
+
+
+class TestRunReducesEachStateOnce:
+    """Structural guard: a run squares each state's amplitudes once, in its norm check."""
+
+    def test_noon8_run_reduces_each_of_its_nine_states_once(self, capsys, monkeypatch):
+        counts = {"check_normalized": 0, "np.abs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (fock, dynamics):
+            monkeypatch.setattr(module, "check_normalized",
+                                counted("check_normalized", fock.check_normalized))
+        monkeypatch.setattr(np, "abs", counted("np.abs", np.abs))
+        assert main(["run", str(NOON8_PP)]) == 0
+        assert len(parse(NOON8_PP.read_text()).steps) == 9
+        # the populations of every step entry, the measurement and the NOON score
+        # are the ones each state's norm check computed
+        assert counts == {"check_normalized": 9, "np.abs": 0}

@@ -123,6 +123,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("prepare q=e nx=0 ny=0\nset nmax_x=12 nmax_y=12 guard=4\n")
 
+    def test_second_set_line_names_its_keyword(self):
+        text = "set nmax_x=12 nmax_y=12 guard=4\n# again\n  set nmax_x=6 nmax_y=6 guard=4\n"
+        with pytest.raises(ParseError) as err:
+            parse(text + "prepare q=e nx=0 ny=0\n")
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert "already set on line 1" in str(err.value)
+
     def test_prepare_not_first(self):
         with pytest.raises(ParseError):
             parse("measure q=e\nprepare q=e nx=0 ny=0\n")

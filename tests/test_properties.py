@@ -13,6 +13,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from noonsim import (
@@ -31,10 +32,11 @@ from noonsim import (
     apply_rotation,
     parse,
     run_sequence,
+    scan_pulse,
     serialize,
 )
 from noonsim.cli import main
-from noonsim.fock import QUBIT_INDEX, HybridState
+from noonsim.fock import QUBIT_INDEX, HybridState, check_normalized
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -92,6 +94,67 @@ class TestPropagators:
         out = apply_rotation(state, spec)
         np.testing.assert_allclose(np.sum(np.abs(out.amp) ** 2, axis=0),
                                    np.sum(np.abs(state.amp) ** 2, axis=0), rtol=0, atol=1e-13)
+
+
+class TestNormCheck:
+    """The norm check is the one reduction of |psi|^2; its populations are the state's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_populations_are_the_squared_norm_of_each_qubit_level(self, data):
+        trunc = data.draw(truncations())
+        stack = np.stack([random_state(data.draw, trunc).amp
+                          for _ in range(data.draw(st.integers(1, 4), label="stack size"))])
+        pops = check_normalized(stack)
+        for amp, row in zip(stack, pops):
+            p = HybridState(amp, trunc).qubit_populations()
+            assert p == tuple(row.tolist())
+            # re^2 + im^2 summed against |amp|^2 summed: each sum of n non-negative
+            # terms is within about n eps / 2 of the exact one, in any order
+            ref = np.sum(np.abs(amp) ** 2, axis=(1, 2))
+            n = amp[0].size * 2
+            np.testing.assert_allclose(p, ref, rtol=2 * n * np.finfo(float).eps, atol=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scan_rows_are_apply_pulse_then_populations_and_leakage(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        trunc = data.draw(truncations(k))
+        spec = data.draw(pulse_specs(k, st.just(0.0)), label="spec")
+        state = random_state(data.draw, trunc)
+        # up to 80 samples: more than one chunk of the scan at the larger truncations
+        ts = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=80), label="ts")
+        p_g, p_e, leakage = scan_pulse(state, spec, ts)
+        for row, t in zip(zip(p_g.tolist(), p_e.tolist(), leakage.tolist()), ts):
+            out, leak = apply_pulse(state, replace(spec, duration=t))
+            assert row == (*out.qubit_populations(), leak)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_state_single_or_stacked_raises_the_norm_check_message(self, data):
+        trunc = data.draw(truncations())
+        count = data.draw(st.integers(1, 4), label="stack size")
+        stack = np.stack([random_state(data.draw, trunc).amp for _ in range(count)])
+        bad = data.draw(st.integers(0, count - 1), label="bad state")
+        value = data.draw(st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, -np.inf),
+                             complex(np.inf, np.nan), complex(1.0, np.nan)]),
+            st.floats(0.0, 0.999), st.floats(1.001, 1e3)), label="bad value")
+        if isinstance(value, float) and math.isfinite(value):
+            stack[bad] *= value
+            message = r"^state is not normalized: \|psi\|\^2 = "
+        else:
+            index = tuple(data.draw(st.integers(0, d - 1)) for d in stack.shape[1:])
+            stack[(bad, *index)] = value
+            message = "^non-finite amplitude$"
+        with pytest.raises(ValueError, match=message) as stacked:
+            check_normalized(stack)
+        with pytest.raises(ValueError, match=message) as single:
+            HybridState(stack[bad], trunc)
+        assert str(stacked.value) == str(single.value)
+        if "normalized" in message:
+            n2 = float(str(single.value).rsplit(" ", 1)[1])
+            assert n2 == pytest.approx(value * value, rel=1e-12, abs=1e-300)
 
 
 DURATIONS = st.one_of(
