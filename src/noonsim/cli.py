@@ -1,6 +1,7 @@
 """Command line: run a pulse program, or scan one pulse's duration.
 
-Exit codes: 0 success, 2 parse or usage error, 3 physics/guard error (a
+Exit codes: 0 success, 2 parse or usage error (a pulse whose k exceeds
+the guard band included), 3 physics error or guard-band leakage (a
 truncation whose state does not fit in memory included), 4 I/O error.
 Errors go to stderr as one JSON object so callers can machine-read
 them; a usage error (a bad or missing flag) is ``{"error": "usage"}`` with

@@ -20,18 +20,19 @@ sends a duration scan through it in chunks of about 2^14 amplitudes,
 returning only the qubit populations and leakage of each sample.  Both
 take the qubit populations from the norm check, ``check_normalized``, and
 the leakage from one sum, ``_guard_sum``, that squares only the guard
-band.  The kernel checks its
-table of phases Omega_n t before taking cos and sin, so an overflowing
-duration or table is a ``PhysicsError`` naming the pulse.
-``apply_rotation`` applies a carrier pulse as one 2x2 matrix on the qubit
-axis.  These are the runtime propagators, and their cost is linear in the
-number of amplitudes.
+band.  The kernel checks its table of phases Omega_n t before taking cos
+and sin, so an overflowing duration or table is a ``PhysicsError`` naming
+the pulse.  ``apply_rotation`` applies a carrier pulse as one 2x2 matrix
+on the qubit axis.  These are the runtime propagators, and their cost is
+linear in the number of amplitudes.  A pulse fits its truncation by one
+rule, ``_driven_dim``: a guard band of at least k levels.
 
 The dense dim x dim builders -- ``sideband_hamiltonian``,
 ``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
 ``carrier_rotation`` and ``apply_operator`` -- are reference oracles that
 tests compare the runtime propagators against; nothing on the runtime path
-builds them.
+builds them.  The three that build an operator lift it from the qubit and
+one mode to the full space through one function, ``_embed_qubit_axis``.
 
 Phase convention: the sideband coupling is taken real.  The i^k phase of
 the plane-wave expansion is a global gauge on each pulse and is dropped;
@@ -157,18 +158,14 @@ def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.nda
     return full.reshape(trunc.dim, trunc.dim)
 
 
-def _check_guard(k: int, trunc: Truncation) -> None:
+def _driven_dim(k: int, axis: str, trunc: Truncation) -> int:
+    """Dimension of the mode ``axis``; PhysicsError unless guard >= k, the one fit rule.
+
+    As ``Truncation`` keeps guard <= n_max, a fitting pulse has d > k: one pair or more.
+    """
     if trunc.guard < k:
         raise PhysicsError(f"guard band {trunc.guard} too small for a k = {k} pulse")
-
-
-def _driven_dim(spec: PulseSpec, trunc: Truncation) -> int:
-    """Dimension of the driven mode, once the pulse is known to fit it."""
-    _check_guard(spec.k, trunc)
-    d = trunc.dim_of(spec.axis)
-    if d <= spec.k:
-        raise PhysicsError("truncation too small for the requested sideband order")
-    return d
+    return trunc.dim_of(axis)
 
 
 def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
@@ -178,7 +175,7 @@ def sideband_hamiltonian(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     elements ``sideband_elements``, whatever ``spec.form`` says; all other
     elements vanish.
     """
-    d = _driven_dim(spec, trunc)
+    d = _driven_dim(spec.k, spec.axis, trunc)
     n = np.arange(d - spec.k)
     e, g = QUBIT_INDEX["e"] * d + n, QUBIT_INDEX["g"] * d + n + spec.k
     h = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -230,7 +227,7 @@ def rabi_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
     ``form="closed"`` gives ``closed_form_frequencies(coupling_g(spec), k, n)``,
     the leading order in eta; ``form="full"`` gives ``sideband_elements``.
     """
-    count = max(_driven_dim(spec, trunc) - spec.k, spec.k + 1)
+    count = max(_driven_dim(spec.k, spec.axis, trunc) - spec.k, spec.k + 1)
     if spec.form == "closed":
         return closed_form_frequencies(coupling_g(spec), spec.k, np.arange(count))
     return sideband_elements(count, spec.k, spec.eta, spec.omega)
@@ -249,21 +246,14 @@ def closed_form_unitary(g: float, t: float, trunc: Truncation, axis: str) -> np.
     fixed, which keeps the matrix exactly unitary; such population is what
     the guard band is for.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    _check_guard(4, trunc)
-    d = trunc.dim_of(axis)
-    g_idx, e_idx = QUBIT_INDEX["g"], QUBIT_INDEX["e"]
+    k = 4
+    d = _driven_dim(k, axis, trunc)
+    n = np.arange(d - k)
+    ie, ig = QUBIT_INDEX["e"] * d + n, QUBIT_INDEX["g"] * d + n + k
+    phase = closed_form_frequencies(1.0, k, n) * g * t
     u = np.eye(2 * d, dtype=complex)
-    freq = closed_form_frequencies(1.0, 4, np.arange(d - 4))
-    for n in range(d - 4):
-        phase = float(freq[n]) * g * t
-        c, s = math.cos(phase), math.sin(phase)
-        ie, ig = e_idx * d + n, g_idx * d + n + 4
-        u[ie, ie] = c
-        u[ig, ig] = c
-        u[ig, ie] = -1j * s
-        u[ie, ig] = -1j * s
+    u[ie, ie] = u[ig, ig] = np.cos(phase)
+    u[ie, ig] = u[ig, ie] = -1j * np.sin(phase)
     return _embed_qubit_axis(u, axis, trunc)
 
 
@@ -297,8 +287,8 @@ def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
 
     Reference form of ``apply_rotation``, built from the same 2x2 matrix.
     """
-    iq = np.eye(trunc.dim_x * trunc.dim_y, dtype=complex)
-    return np.kron(_qubit_rotation(spec), iq)
+    block = np.kron(_qubit_rotation(spec), np.eye(trunc.dim_x, dtype=complex))
+    return _embed_qubit_axis(block, "x", trunc)
 
 
 def apply_rotation(state: HybridState, spec: RotationSpec) -> HybridState:

@@ -89,7 +89,7 @@ class HybridState:
         return self.amp.reshape(-1)
 
     def population(self, q: str, nx: int, ny: int) -> float:
-        return float(abs(self.amp[QUBIT_INDEX[q], nx, ny]) ** 2)
+        return float(abs(self.amp[_level_index(q, nx, ny, self.trunc)]) ** 2)
 
     def qubit_populations(self) -> tuple[float, float]:
         """(P(g), P(e)), as the norm check computed them."""
@@ -167,11 +167,16 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
     raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
 
 
-def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
+def _level_index(q: str, nx: int, ny: int, trunc: Truncation) -> tuple[int, int, int]:
+    """The amplitude index of |q, nx, ny>; ValueError unless the level is in the truncation."""
     if q not in QUBIT_INDEX:
         raise ValueError(f"qubit level must be 'g' or 'e', got {q!r}")
     if not (0 <= nx <= trunc.n_max_x and 0 <= ny <= trunc.n_max_y):
         raise ValueError(f"Fock indices ({nx}, {ny}) outside truncation")
+    return QUBIT_INDEX[q], nx, ny
+
+
+def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
     amp = np.zeros((2, trunc.dim_x, trunc.dim_y), dtype=complex)
-    amp[QUBIT_INDEX[q], nx, ny] = 1.0
+    amp[_level_index(q, nx, ny, trunc)] = 1.0
     return HybridState(amp, trunc)

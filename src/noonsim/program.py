@@ -10,7 +10,9 @@ names what its line builds and its keys in canonical order, and each key
 names the attribute it sets, its parser and its formatter.  ``parse``,
 ``serialize`` and ``step_keyword`` all read that table.  Serialization is
 canonical (fixed key order, repr floats), and parse(serialize(p)) == p for
-every valid program.
+every valid program.  A program is valid only where it fits its
+truncation: a ``prepare`` level outside it, or a ``pulse`` whose k exceeds
+the guard band (``dynamics._driven_dim``), is a ``ParseError`` at its key.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .fock import Truncation
-from .dynamics import PulseSpec, RotationSpec
+from .dynamics import PhysicsError, PulseSpec, RotationSpec, _driven_dim
 from .protocol import (
     MeasureQubit,
     Prepare,
@@ -226,6 +228,11 @@ def parse(text: str) -> Program:
                 if not 0 <= values[key] <= top:
                     message = f"{key}={values[key]} is outside the truncation, 0..{top}"
                     raise ParseError(message, lineno, fields[key][1])
+        if line.builds is SidebandPulse:
+            try:
+                _driven_dim(obj.spec.k, obj.spec.axis, trunc)
+            except PhysicsError as exc:
+                raise ParseError(str(exc), lineno, fields["k"][1]) from None
         if line.builds is Truncation:
             trunc, set_line = obj, lineno
         else:

@@ -11,6 +11,19 @@ from noonsim.cli import main, result_document
 
 NOON8_PP = Path(__file__).resolve().parent.parent / "demos" / "noon8.pp"
 
+# a k = 5 pulse under a guard band of 4 levels, and the parse error it gets
+GUARD_TOO_SMALL = (
+    "set nmax_x=12 nmax_y=12 guard=4\n"
+    "prepare q=e nx=0 ny=0\n"
+    "pulse axis=x k=5 eta=0.2 omega=1.0 t=1.0 form=closed\n"
+)
+GUARD_TOO_SMALL_ERROR = {
+    "error": "parse",
+    "message": "line 3, col 14: guard band 4 too small for a k = 5 pulse",
+    "line": 3,
+    "col": 14,
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -130,6 +143,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.pp"))
         assert code == 4
         assert json.loads(err)["error"] == "io"
+
+    def test_pulse_beyond_the_guard_band_is_a_parse_error_at_its_k(self, capsys, tmp_path):
+        prog = tmp_path / "k5.pp"
+        prog.write_text(GUARD_TOO_SMALL)
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == GUARD_TOO_SMALL_ERROR
 
     def test_physics_error_exit_code(self, capsys, tmp_path):
         prog = tmp_path / "degenerate.pp"
@@ -406,6 +426,14 @@ class TestScan:
         doc = json.loads(err)
         assert doc["error"] == "physics"
         assert doc["message"].startswith("pulse axis=x k=4: phase Omega_n t = inf")
+
+    def test_pulse_beyond_the_guard_band_is_a_parse_error_at_its_k(self, capsys, tmp_path):
+        prog = tmp_path / "k5.pp"
+        prog.write_text(GUARD_TOO_SMALL)
+        code, out, err = run_cli(capsys, "scan", str(prog), "--step", "1",
+                                 "--t-min", "0", "--t-max", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == GUARD_TOO_SMALL_ERROR
 
     def test_step_out_of_range(self, capsys):
         message = usage_error(capsys, "scan", str(NOON8_PP),

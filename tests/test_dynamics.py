@@ -207,8 +207,20 @@ class TestClosedFormUnitary:
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-12
 
     def test_guard_violation(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(PhysicsError, match="^guard band 3 too small for a k = 4 pulse$"):
             closed_form_unitary(1.0, 0.1, Truncation(12, 12, 3), "x")
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_unitary_at_the_smallest_fitting_truncation(self, axis):
+        # n_max = guard = 4: one pair (|e, 0>, |g, 4>) per spectator level
+        trunc = Truncation(4, 4, 4)
+        u = closed_form_unitary(0.7, 2.9, trunc, axis)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(trunc.dim))) <= 1e-12
+        assert np.count_nonzero(u - np.eye(trunc.dim)) == 4 * 5  # 4 entries per pair, 5 pairs
+
+    def test_bad_axis(self):
+        with pytest.raises(ValueError, match="unknown axis 'z'"):
+            closed_form_unitary(1.0, 0.1, TRUNC, "z")
 
     def test_conserves_phonons_plus_excitation(self):
         rng = np.random.default_rng(7)
@@ -311,6 +323,14 @@ class TestExpmOracle:
 
 
 class TestCarrierRotation:
+    def test_is_the_qubit_rotation_times_the_mode_identity(self):
+        trunc = Truncation(5, 8, 2)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            spec = RotationSpec(rng.uniform(-7, 7), rng.uniform(-7, 7))
+            ref = np.kron(dynamics._qubit_rotation(spec), np.eye(trunc.dim_x * trunc.dim_y))
+            assert np.array_equal(carrier_rotation(spec, trunc), ref)
+
     def test_zero_angle(self):
         u = carrier_rotation(RotationSpec(0.0, 1.2), TRUNC)
         assert np.allclose(u, np.eye(TRUNC.dim))
@@ -400,6 +420,16 @@ class TestOracleEquivalence:
             assert f >= 1 - 5 * eta**2
 
 
+def closed_form_hamiltonian(spec, trunc):
+    """g_k (sigma_+ a^k + h.c.) from the ladder operator, independently of the frequency table."""
+    d = trunc.dim_of(spec.axis)
+    sigma_plus = np.zeros((2, 2), dtype=complex)
+    sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
+    a_k = np.linalg.matrix_power(ladder(d, "lower", spec.axis).mat, spec.k)
+    h = coupling_g(spec) * dynamics._embed_qubit_axis(np.kron(sigma_plus, a_k), spec.axis, trunc)
+    return h + h.conj().T
+
+
 class TestPairRotationKernel:
     """The runtime propagators against the dense reference builders."""
 
@@ -425,26 +455,41 @@ class TestPairRotationKernel:
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_closed_form_matches_expm_oracle(self, k, axis):
-        # the closed form is exp(-i g_k (sigma_+ a^k + h.c.) t), built here
-        # from the ladder operator, independently of the frequency table
+        # the closed form is exp(-i g_k (sigma_+ a^k + h.c.) t)
         trunc = Truncation(7, 10, k)
-        d = trunc.dim_of(axis)
-        sigma_plus = np.zeros((2, 2), dtype=complex)
-        sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
-        a_k = np.linalg.matrix_power(ladder(d, "lower", axis).mat, k)
-        coupling = dynamics._embed_qubit_axis(np.kron(sigma_plus, a_k), axis, trunc)
-        top = math.sqrt(math.perm(d - 1, k))  # largest pair frequency at g = 1
+        top = math.sqrt(math.perm(trunc.dim_of(axis) - 1, k))  # largest pair frequency at g = 1
         rng = np.random.default_rng(200 + k)
         for _ in range(3):
             eta = rng.uniform(0.05, 0.6)
             omega = rng.uniform(1.0, 10.0) / top * math.factorial(k) / eta**k
             spec = PulseSpec(axis, k, eta, omega, rng.uniform(0.0, 3.0), "closed")
-            h = coupling_g(spec) * coupling
             state = random_state(rng, trunc)
             out, leakage = apply_pulse(state, spec)
-            ref = apply_operator(expm_oracle(h + h.conj().T, spec.duration), state)
+            ref = apply_operator(expm_oracle(closed_form_hamiltonian(spec, trunc), spec.duration),
+                                 state)
             assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
             assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
+
+    @pytest.mark.parametrize("form", ["closed", "full"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_smallest_fitting_truncation_matches_expm_oracle(self, k, axis, form):
+        # n_max = guard = k leaves the driven mode k + 1 levels: one pair
+        # (|e, 0>, |g, k>) per spectator level
+        trunc = Truncation(k, k, k)
+        rng = np.random.default_rng(300 + k)
+        spec = PulseSpec(axis, k, rng.uniform(0.05, 0.6), rng.uniform(1.0, 50.0),
+                         rng.uniform(0.0, 3.0), form)
+        assert len(rabi_frequencies(spec, trunc)) == k + 1  # Omega_0 .. Omega_k for the solver
+        spectator_levels = trunc.dim_of("y" if axis == "x" else "x")
+        full = sideband_hamiltonian(spec, trunc)
+        h = full if form == "full" else closed_form_hamiltonian(spec, trunc)
+        assert np.count_nonzero(np.triu(full)) == np.count_nonzero(np.triu(h)) == spectator_levels
+        state = random_state(rng, trunc)
+        out, leakage = apply_pulse(state, spec)
+        ref = apply_operator(expm_oracle(h, spec.duration), state)
+        assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
+        assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_closed_form_matches_closed_form_unitary(self, axis):

@@ -112,3 +112,23 @@ class TestHybridState:
     def test_basis_state_outside_truncation(self):
         with pytest.raises(ValueError):
             basis_state("g", 13, 0, Truncation(12, 12, 4))
+
+    @pytest.mark.parametrize(
+        "q, nx, ny, message",
+        [
+            ("e", -13, 0, r"^Fock indices \(-13, 0\) outside truncation$"),
+            ("e", 13, 0, r"^Fock indices \(13, 0\) outside truncation$"),
+            ("g", 0, -1, r"^Fock indices \(0, -1\) outside truncation$"),
+            ("x", 0, 0, r"^qubit level must be 'g' or 'e', got 'x'$"),
+        ],
+        ids=["negative-nx", "nx-above-cutoff", "negative-ny", "bad-qubit"],
+    )
+    def test_population_outside_truncation(self, q, nx, ny, message):
+        trunc = Truncation(12, 12, 4)
+        state = basis_state("e", 0, 0, trunc)
+        with pytest.raises(ValueError, match=message):
+            state.population(q, nx, ny)
+        with pytest.raises(ValueError, match=message):
+            basis_state(q, nx, ny, trunc)
+        assert state.population("e", 0, 0) == 1.0
+        assert state.population("g", 12, 12) == 0.0

@@ -211,6 +211,33 @@ class TestParseErrors:
         assert (err.value.line, err.value.col) == (3, col)
         assert "outside the truncation" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ("set nmax_x=12 nmax_y=12 guard=4\nprepare q=e nx=0 ny=0\n"
+             "pulse axis=x k=5 eta=0.2 omega=1.0 t=1.0 form=closed\n",
+             3, 14, "guard band 4 too small for a k = 5 pulse"),
+            ("set nmax_x=9 nmax_y=6 guard=2\nprepare q=e nx=0 ny=0\n"
+             "pulse axis=x k=2 eta=0.2 omega=1.0 t=1.0 form=full\n"
+             "  pulse form=closed t=auto_vacuum_pi omega=1.0 eta=0.2 k=3 axis=y\n",
+             4, 56, "guard band 2 too small for a k = 3 pulse"),
+            # without a set line, the default truncation is in force
+            ("prepare q=e nx=0 ny=0\npulse axis=y k=7 eta=0.2 omega=1.0 t=1.0 form=closed\n",
+             2, 14, "guard band 4 too small for a k = 7 pulse"),
+        ],
+        ids=["set-line", "keys-reordered", "default-truncation"],
+    )
+    def test_pulse_beyond_the_guard_band_names_its_k(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_pulse_filling_the_guard_band_parses(self):
+        program = parse("set nmax_x=5 nmax_y=5 guard=5\nprepare q=e nx=0 ny=0\n"
+                        "pulse axis=y k=5 eta=0.2 omega=1.0 t=1.0 form=full\n")
+        assert program.steps[1].spec.k == 5
+
     def test_fock_index_at_the_truncation_edge_parses(self):
         program = parse("set nmax_x=12 nmax_y=14 guard=4\nprepare q=e nx=12 ny=14\n")
         assert program.steps == (Prepare("e", 12, 14),)

@@ -531,6 +531,12 @@ class TestRunSequence:
             result.measurements[0].probability
         )
 
+    def test_pulse_beyond_the_guard_band_raises(self):
+        # a hand-built sequence is not parsed, so the pulse's own fit check reports it
+        steps = [Prepare("e", 0, 0), SidebandPulse(PulseSpec("x", 5, 0.2, 1.0, 1.0, "closed"))]
+        with pytest.raises(PhysicsError, match="^guard band 4 too small for a k = 5 pulse$"):
+            run_sequence(steps, TRUNC)
+
     def test_leakage_limit_enforced(self):
         # drive from a state near the cutoff so four-phonon transfer leaks
         steps = [
