@@ -12,9 +12,11 @@ The package is organized in four layers:
   table of Rabi frequencies, which one function builds per pulse.  A pulse
   enters the kernel through ``apply_pulse``, or a whole duration scan at
   once through ``scan_pulse``, and a carrier pulse is one 2x2 matrix on the
-  qubit axis.  The dense builders (sideband Hamiltonian, closed-form
-  four-phonon unitary, eigendecomposition matrix exponential, dense carrier
-  rotation) are kept as reference oracles for tests.
+  qubit axis.  A pulse's duration is seconds or an auto marker
+  (``VacuumPi``, ``SuperpositionPi``), defined beside ``PulseSpec``.  The
+  dense builders (sideband Hamiltonian, closed-form four-phonon unitary,
+  eigendecomposition matrix exponential, dense carrier rotation) are kept
+  as reference oracles for tests.
 - :mod:`noonsim.protocol` -- pulse-sequence execution, pulse-time solving
   (exact for the vacuum pulse; for the superposition pulse the best
   candidate within a horizon, found by ``solve_duration``), measurement
@@ -36,6 +38,8 @@ from .fock import (
 from .dynamics import (
     PulseSpec,
     RotationSpec,
+    VacuumPi,
+    SuperpositionPi,
     PhysicsError,
     coupling_g,
     sideband_hamiltonian,
@@ -52,8 +56,6 @@ from .protocol import (
     SidebandPulse,
     Rotate,
     MeasureQubit,
-    VacuumPi,
-    SuperpositionPi,
     StepRecord,
     RunResult,
     NoonFidelity,

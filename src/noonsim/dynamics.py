@@ -27,6 +27,11 @@ on the qubit axis.  These are the runtime propagators, and their cost is
 linear in the number of amplitudes.  A pulse fits its truncation by one
 rule, ``_driven_dim``: a guard band of at least k levels.
 
+A pulse's duration is seconds or one of the two auto markers defined here
+beside ``PulseSpec``, ``VacuumPi`` and ``SuperpositionPi``; every check
+tells them apart by one name, ``_AutoDuration``, and the protocol engine
+solves a marker before the kernel sees the pulse.
+
 The dense dim x dim builders -- ``sideband_hamiltonian``,
 ``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
 ``carrier_rotation`` and ``apply_operator`` -- are reference oracles that
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -52,18 +56,38 @@ from .fock import (
     QUBIT_INDEX,
     HybridState,
     Truncation,
+    _require_int,
     check_normalized,
     laguerre_table,
 )
 
-if TYPE_CHECKING:
-    from .protocol import VacuumPi, SuperpositionPi
-
-    Duration = Union[float, "VacuumPi", "SuperpositionPi"]
-
 
 class PhysicsError(Exception):
     """Truncation, guard-band, or measurement-branch violation."""
+
+
+@dataclass(frozen=True)
+class VacuumPi:
+    """Exact pi time from the vacuum, t = pi / (2 w_vac): moves |e,0> to |g,k>."""
+
+
+@dataclass(frozen=True)
+class SuperpositionPi:
+    """Best duration within the horizon for the simultaneous |g,k>/|e,k> transfer.
+
+    Chosen among the ``horizon + 1`` candidates t_m = (2m + 3/2) pi / w_vac,
+    m = 0..horizon, by ``protocol.solve_duration``.
+    """
+
+    horizon: int = 1000
+
+    def __post_init__(self):
+        _require_int(horizon=self.horizon)
+        if self.horizon < 1:
+            raise ValueError("search horizon must be >= 1")
+
+
+_AutoDuration = VacuumPi | SuperpositionPi
 
 
 @dataclass(frozen=True)
@@ -72,10 +96,10 @@ class PulseSpec:
 
     The trap frequencies and detuning enter only through sideband
     selection (delta = k * nu of the driven axis); they are not simulated.
-    ``duration`` is seconds, or a symbolic auto marker resolved by the
-    protocol engine.  ``form`` selects the table of Rabi frequencies the
-    pulse is propagated with: the leading Lamb-Dicke order ("closed") or
-    the full sideband matrix elements ("full"); see ``rabi_frequencies``.
+    ``duration`` is seconds or a marker, ``VacuumPi`` or ``SuperpositionPi``,
+    that the protocol engine solves.  ``form`` selects the table of Rabi
+    frequencies the pulse is propagated with: the leading Lamb-Dicke order
+    ("closed") or the full sideband matrix elements ("full"); see ``rabi_frequencies``.
     The closed form is only the leading order in eta; nothing checks eta < 1.
     """
 
@@ -83,15 +107,16 @@ class PulseSpec:
     k: int
     eta: float
     omega: float
-    duration: "Duration"
+    duration: float | _AutoDuration
     form: str = "closed"
 
     def __post_init__(self):
         _require_finite(eta=self.eta, omega=self.omega)
-        if isinstance(self.duration, (int, float)):
+        if not isinstance(self.duration, _AutoDuration):
             _require_finite(duration=self.duration)
         if self.axis not in ("x", "y"):
             raise ValueError(f"pulse axis must be 'x' or 'y', got {self.axis!r}")
+        _require_int(k=self.k)
         if self.k < 1:
             raise ValueError("sideband order k must be >= 1")
         if self.eta < 0:
@@ -362,14 +387,12 @@ def apply_pulse(
 ) -> tuple[HybridState, float]:
     """Propagate one sideband pulse; returns (new state, guard-band leakage).
 
-    ``spec.duration`` must already be numeric; symbolic auto durations are
-    resolved by the protocol engine.  ``freq`` is the pulse's table,
+    ``spec.duration`` must be seconds; auto markers are solved by the
+    protocol engine first.  ``freq`` is the pulse's table,
     ``rabi_frequencies(spec, state.trunc)``, built here when not given.
     """
-    if not isinstance(spec.duration, (int, float)):
-        raise ValueError(
-            "apply_pulse needs a numeric duration; resolve auto markers first"
-        )
+    if isinstance(spec.duration, _AutoDuration):
+        raise ValueError(f"apply_pulse needs seconds; solve the marker {spec.duration!r} first")
     if freq is None:
         freq = rabi_frequencies(spec, state.trunc)
     amp = _rotate_pairs(state.amp, spec, freq, np.array([float(spec.duration)]))
@@ -380,7 +403,7 @@ def apply_pulse(
 def scan_pulse(
     state: HybridState, spec: PulseSpec, durations
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_g, p_e, leakage) after the pulse for each of ``durations``.
+    """(p_g, p_e, leakage) after the pulse for each of ``durations``, a 1-D sequence.
 
     ``spec.duration`` is ignored.  Equal, bit for bit, to ``apply_pulse``
     of each duration followed by ``qubit_populations``: the frequency table
@@ -391,6 +414,8 @@ def scan_pulse(
     same ``_guard_sum``.
     """
     ts = np.asarray(durations, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"durations must be a 1-D sequence, got shape {ts.shape}")
     if not np.isfinite(ts).all():
         _require_finite(duration=float(ts[~np.isfinite(ts)][0]))
     freq = rabi_frequencies(spec, state.trunc)

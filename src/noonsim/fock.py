@@ -38,6 +38,7 @@ class Truncation:
     guard: int = 4
 
     def __post_init__(self):
+        _require_int(n_max_x=self.n_max_x, n_max_y=self.n_max_y, guard=self.guard)
         if self.n_max_x < 1 or self.n_max_y < 1:
             raise ValueError("n_max_x and n_max_y must be >= 1")
         if self.guard < 0:
@@ -65,25 +66,34 @@ class Truncation:
         raise ValueError(f"unknown axis {axis!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridState:
     """Complex amplitudes over (qubit, n_x, n_y), with squared norm 1.
 
-    The state carries the qubit populations that its norm check computed,
-    outside the constructor, the comparison and the repr.
+    ``amp`` may be any array-like; the state keeps it as a C-contiguous
+    complex128 array, the input itself where it already is one.  The state
+    carries the qubit populations that its norm check computed, outside the
+    constructor, the comparison and the repr.  Two states are equal when
+    their truncations and amplitudes are; a state is unhashable.
     """
 
     amp: np.ndarray
     trunc: Truncation
-    _populations: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _populations: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "amp", np.ascontiguousarray(self.amp, dtype=complex))
         expected = (2, self.trunc.dim_x, self.trunc.dim_y)
         if self.amp.shape != expected:
             raise ValueError(
                 f"amplitude shape {self.amp.shape} does not match truncation {expected}"
             )
         object.__setattr__(self, "_populations", tuple(check_normalized(self.amp).tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HybridState):
+            return NotImplemented
+        return self.trunc == other.trunc and np.array_equal(self.amp, other.amp)
 
     def ravel(self) -> np.ndarray:
         return self.amp.reshape(-1)
@@ -171,6 +181,7 @@ def _level_index(q: str, nx: int, ny: int, trunc: Truncation) -> tuple[int, int,
     """The amplitude index of |q, nx, ny>; ValueError unless the level is in the truncation."""
     if q not in QUBIT_INDEX:
         raise ValueError(f"qubit level must be 'g' or 'e', got {q!r}")
+    _require_int(nx=nx, ny=ny)
     if not (0 <= nx <= trunc.n_max_x and 0 <= ny <= trunc.n_max_y):
         raise ValueError(f"Fock indices ({nx}, {ny}) outside truncation")
     return QUBIT_INDEX[q], nx, ny
@@ -180,3 +191,10 @@ def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
     amp = np.zeros((2, trunc.dim_x, trunc.dim_y), dtype=complex)
     amp[_level_index(q, nx, ny, trunc)] = 1.0
     return HybridState(amp, trunc)
+
+
+def _require_int(**values) -> None:
+    """ValueError unless each value is an integer, Python or numpy; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .fock import Truncation
-from .dynamics import PhysicsError, PulseSpec, RotationSpec, _driven_dim
-from .protocol import (
-    MeasureQubit,
-    Prepare,
-    Rotate,
-    SidebandPulse,
-    Step,
+from .dynamics import (
+    PhysicsError,
+    PulseSpec,
+    RotationSpec,
     SuperpositionPi,
     VacuumPi,
+    _driven_dim,
 )
+from .protocol import MeasureQubit, Prepare, Rotate, SidebandPulse, Step
 
 
 class ParseError(Exception):

@@ -13,6 +13,9 @@ durations matter:
   m = 0..M, which are exact for the first transition, we take the one that
   best hits the second, found by the exact search of ``solve_duration``.
   The residual is reported, not hidden.
+
+The two markers, ``VacuumPi`` and ``SuperpositionPi``, live with
+``PulseSpec`` in ``dynamics``; this module solves them.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ from typing import Union
 
 import numpy as np
 
-from .fock import QUBIT_INDEX, HybridState, Truncation, basis_state
+from .fock import QUBIT_INDEX, HybridState, Truncation, _require_int, basis_state
 from .dynamics import (
     PhysicsError,
     PulseSpec,
     RotationSpec,
+    SuperpositionPi,
+    VacuumPi,
+    _AutoDuration,
     apply_pulse,
     apply_rotation,
     closed_form_frequencies,
@@ -38,26 +44,6 @@ from .dynamics import (
 
 # records evaluated in floating point at the end of each run of the duration search
 _RUN_TAIL = 16
-
-
-@dataclass(frozen=True)
-class VacuumPi:
-    """Exact pi time from the vacuum, t = pi / (2 w_vac): moves |e,0> to |g,k>."""
-
-
-@dataclass(frozen=True)
-class SuperpositionPi:
-    """Best duration within the horizon for the simultaneous |g,k>/|e,k> transfer.
-
-    Chosen among the ``horizon + 1`` candidates t_m = (2m + 3/2) pi / w_vac,
-    m = 0..horizon, by ``solve_duration``.
-    """
-
-    horizon: int = 1000
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("search horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,8 @@ class StepRecord:
 
     ``state`` follows the step; ``leakage`` is what a pulse left in the guard
     band.  An auto-timed pulse adds its solved ``duration`` and predicted
-    ``timing_infidelity``, a measurement its ``outcome`` and ``probability``.
+    ``timing_infidelity``, a measurement its ``outcome`` and ``probability``;
+    a pulse given in seconds adds neither.  Records compare by value.
     """
 
     index: int
@@ -161,7 +148,7 @@ def solve_duration(
                            "cannot solve a duration")
     if isinstance(marker, VacuumPi):
         t, infid = math.pi / (2.0 * w_vac), 0.0
-    elif isinstance(marker, SuperpositionPi):
+    else:
         runs, descents = _runs(w_vac, w_super, marker.horizon)
         best = None
         # t_m beyond the float range scores nan, which never wins after m = 0
@@ -179,8 +166,6 @@ def solve_duration(
             "superposition pulse, horizon %d: %d runs, %d descents, m = %d, infidelity %.3e",
             marker.horizon, len(runs), descents, m, infid,
         )
-    else:
-        raise ValueError(f"unknown duration marker {marker!r}")
     if not math.isfinite(t):
         raise PhysicsError(f"pulse duration {t!r} is beyond the float range "
                            f"at Omega_0 = {w_vac!r}")
@@ -349,20 +334,20 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     )
 
 
-def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, float]:
-    """Replace a symbolic duration by its numeric value.
+def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, float | None]:
+    """Solve an auto marker's duration: (spec in seconds, predicted timing infidelity).
 
     ``freq`` is the table the pulse is propagated with,
     ``rabi_frequencies(spec, trunc)``, and the two frequencies are its
     Omega_0 and Omega_k: for the full Hamiltonian they carry the
     exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts would
-    otherwise accumulate over the long superposition pulse.  Returns
-    (resolved spec, predicted infidelity of the timing choice); the latter
-    is 0 for exact durations.  A solver ``PhysicsError`` names the pulse.
+    otherwise accumulate over the long superposition pulse.  A given
+    duration is returned as it is, with infidelity None; a solved one is 0
+    for ``VacuumPi``.  A solver ``PhysicsError`` names the pulse.
     """
     d = spec.duration
-    if isinstance(d, (int, float)):
-        return spec, 0.0
+    if not isinstance(d, _AutoDuration):
+        return spec, None
     try:
         t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
     except PhysicsError as exc:
@@ -396,9 +381,12 @@ def run_sequence(
     (axis, k, eta, omega, form), and a pulse takes both its duration and its
     propagation from that table.  Measurements project onto
     the requested qubit level (or the override), record the branch
-    probability, and renormalize.  Every record keeps its state.  Leakage
-    above ``leakage_limit`` raises; pass ``math.inf`` to disable the check.
+    probability, and renormalize; ``outcome_override``, if given, is 'g' or
+    'e'.  Every record keeps its state.  Leakage above ``leakage_limit``
+    raises; pass ``math.inf`` to disable the check.
     """
+    if outcome_override not in (None, *QUBIT_INDEX):
+        raise ValueError(f"outcome_override must be 'g' or 'e', got {outcome_override!r}")
     if not steps or not isinstance(steps[0], Prepare):
         raise ValueError("a sequence must start with a Prepare step")
     if any(isinstance(s, Prepare) for s in steps[1:]):
@@ -422,10 +410,8 @@ def run_sequence(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "
                     f"{leakage_limit:.3e}; increase the truncation"
                 )
-            if isinstance(step.spec.duration, (int, float)):
-                rec = StepRecord(i, state, leakage)
-            else:
-                rec = StepRecord(i, state, leakage, float(spec.duration), timing_infid)
+            solved = None if timing_infid is None else spec.duration
+            rec = StepRecord(i, state, leakage, solved, timing_infid)
         elif isinstance(step, Rotate):
             state = apply_rotation(state, step.spec)
             rec = StepRecord(i, state, 0.0)
@@ -504,9 +490,11 @@ def noon_fidelity(state: HybridState, n: int) -> NoonFidelity:
 
     The overlap with NOON(n, chi) is (a_n0 + e^{-i chi} a_0n) / sqrt(2), so
     the best phase is chi* = arg(a_0n) - arg(a_n0) and the maximum is
-    (|a_n0| + |a_0n|)^2 / 2; no numeric scan is needed.  An n outside
-    1..min(n_max_x, n_max_y) raises PhysicsError.
+    (|a_n0| + |a_0n|)^2 / 2; no numeric scan is needed.  An n that is not
+    an integer is a ValueError, one outside 1..min(n_max_x, n_max_y) a
+    PhysicsError.
     """
+    _require_int(n=n)
     top = min(state.trunc.n_max_x, state.trunc.n_max_y)
     if not 1 <= n <= top:
         raise PhysicsError(f"NOON order N = {n} is outside 1..{top} for this truncation")

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from noonsim import (
     PhysicsError,
+    Prepare,
     PulseSpec,
     RotationSpec,
     SidebandPulse,
@@ -26,6 +28,7 @@ from noonsim import (
     run_sequence,
     scan_pulse,
     sideband_hamiltonian,
+    SuperpositionPi,
 )
 from noonsim import dynamics
 from noonsim.dynamics import (
@@ -392,10 +395,32 @@ class TestApplyPulse:
         )
         assert abs(np.vdot(closed.amp, full.amp)) ** 2 >= 1 - 1e-3
 
-    def test_symbolic_duration_rejected(self):
-        spec = PulseSpec("x", 4, 0.2, 15000.0, VacuumPi(), "closed")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("marker", [VacuumPi(), SuperpositionPi(10)])
+    def test_symbolic_duration_rejected(self, marker):
+        spec = PulseSpec("x", 4, 0.2, 15000.0, marker, "closed")
+        message = f"^apply_pulse needs seconds; solve the marker {re.escape(repr(marker))} first$"
+        with pytest.raises(ValueError, match=message):
             apply_pulse(basis_state("e", 0, 0, TRUNC), spec)
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64, np.int64])
+    def test_numpy_scalar_duration_runs_as_its_float(self, scalar):
+        rng = np.random.default_rng(3)
+        if scalar is np.int64:
+            values = rng.integers(0, 5, 6).tolist()
+        else:  # values exact in float32, so that the cast keeps them
+            values = rng.uniform(0.0, 2.0, 6).astype(np.float32).tolist()
+        state = random_state(rng, TRUNC)
+        for value in values:
+            given, plain = closed_spec(t=scalar(value)), closed_spec(t=float(value))
+            out, leakage = apply_pulse(state, given)
+            ref, ref_leakage = apply_pulse(state, plain)
+            assert (out.amp.tobytes(), leakage) == (ref.amp.tobytes(), ref_leakage)
+            run, ref_run = (
+                run_sequence([Prepare("e", 1, 2), SidebandPulse(spec)], TRUNC)
+                for spec in (given, plain)
+            )
+            assert run == ref_run
+            assert run.final_state.amp.tobytes() == ref_run.final_state.amp.tobytes()
 
 
 class TestOracleEquivalence:
@@ -594,6 +619,13 @@ class TestScanPulse:
         with pytest.raises(ValueError, match="duration must be finite"):
             scan_pulse(basis_state("e", 0, 0, TRUNC), closed_spec(), [0.1, value, 0.2])
 
+    @pytest.mark.parametrize(
+        "durations, shape", [(0.1, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)")], ids=["scalar", "2-D"]
+    )
+    def test_durations_must_be_one_dimensional(self, durations, shape):
+        with pytest.raises(ValueError, match=f"^durations must be a 1-D sequence, got shape {shape}$"):
+            scan_pulse(basis_state("e", 0, 0, TRUNC), closed_spec(), durations)
+
     @pytest.mark.parametrize("scale", [2.0, math.nan])
     def test_each_sample_is_checked_as_a_hybrid_state(self, scale):
         state = basis_state("e", 0, 0, TRUNC)
@@ -618,11 +650,25 @@ class TestScanPulse:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("field", ["eta", "omega", "duration"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32("nan")])
     def test_pulse_spec(self, field, value):
         spec = closed_spec(t=0.1)
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(spec, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("duration", "0.1", TypeError, "must be real number"),
+            ("duration", None, TypeError, "must be real number"),
+            ("k", True, ValueError, "^k must be an integer, got True$"),
+            ("k", 4.0, ValueError, "^k must be an integer, got 4.0$"),
+        ],
+        ids=["str-duration", "None-duration", "bool-k", "float-k"],
+    )
+    def test_pulse_spec_field_of_the_wrong_type(self, field, value, error, message):
+        with pytest.raises(error, match=message):
+            dataclasses.replace(closed_spec(t=0.1), **{field: value})
 
     @pytest.mark.parametrize("field", ["theta", "phi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

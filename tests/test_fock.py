@@ -5,12 +5,25 @@ import pytest
 
 from noonsim import (
     HybridState,
+    PulseSpec,
     Truncation,
+    apply_pulse,
     basis_state,
     ladder,
     laguerre_assoc,
 )
 from noonsim.fock import check_normalized
+
+# a (2, dx, dy) complex128 array in the forms a caller may hand to HybridState
+AMPLITUDE_FORMS = {
+    "complex128": lambda amp: amp,
+    "complex64": lambda amp: amp.astype(np.complex64),
+    "int64": lambda amp: amp.real.astype(np.int64),
+    "float64": lambda amp: amp.real.copy(),
+    "fortran-ordered": np.asfortranarray,
+    "strided": lambda amp: np.repeat(amp, 2, axis=-1)[..., ::2],
+    "nested-list": lambda amp: amp.tolist(),
+}
 
 
 class TestLaguerre:
@@ -84,14 +97,51 @@ class TestLadder:
             ladder(2, "lower", "qubit")
 
 
+class TestTruncation:
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((12.0, 12, 4), r"^n_max_x must be an integer, got 12.0$"),
+            ((12, True, 4), r"^n_max_y must be an integer, got True$"),
+            ((12, 12, "4"), r"^guard must be an integer, got '4'$"),
+        ],
+        ids=["float-n_max_x", "bool-n_max_y", "str-guard"],
+    )
+    def test_sizes_must_be_integers(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            Truncation(*sizes)
+        assert Truncation(*map(np.int64, (12, 12, 4))) == Truncation(12, 12, 4)
+
+
 class TestHybridState:
-    def test_norm_enforced(self):
+    @pytest.mark.parametrize("form", AMPLITUDE_FORMS.values(), ids=AMPLITUDE_FORMS)
+    def test_norm_enforced(self, form):
+        trunc = Truncation(4, 4, 4)
         amp = np.zeros((2, 5, 5), dtype=complex)
-        amp[0, 0, 0] = 0.5
-        with pytest.raises(ValueError, match="not normalized"):
-            HybridState(amp, Truncation(4, 4, 1))
-        amp[1, 2, 3] = math.sqrt(0.75)
-        HybridState(amp, Truncation(4, 4, 1))  # fine
+        amp[1, 0, 0] = 2.0
+        with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = 4.0$"):
+            HybridState(form(amp), trunc)
+        amp[1, 0, 0] = 1.0
+        state = HybridState(form(amp), trunc)
+        assert state.amp.dtype == np.complex128 and state.amp.flags.c_contiguous
+        assert state == basis_state("e", 0, 0, trunc)
+        spec = PulseSpec("x", 4, 0.2, 15000.0, 0.1)
+        out, leakage = apply_pulse(state, spec)
+        ref, ref_leakage = apply_pulse(basis_state("e", 0, 0, trunc), spec)
+        assert (out.amp.tobytes(), leakage) == (ref.amp.tobytes(), ref_leakage)
+        amp[1, 0, 0], amp[0, 2, 3] = 0.5, math.sqrt(0.75)
+        if np.array_equal(np.asarray(form(amp), dtype=complex), amp):  # forms that hold it
+            HybridState(form(amp), trunc)  # fine
+
+    def test_equal_states_compare_equal_and_none_hashes(self):
+        trunc = Truncation(4, 4, 4)
+        state = basis_state("g", 1, 2, trunc)
+        assert state == basis_state("g", 1, 2, trunc)
+        assert state != basis_state("g", 2, 1, trunc)
+        assert state != basis_state("g", 1, 2, Truncation(4, 4, 3))
+        assert state != "state"
+        with pytest.raises(TypeError, match="unhashable type: 'HybridState'"):
+            hash(state)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_rejected(self, bad):
@@ -120,8 +170,10 @@ class TestHybridState:
             ("e", 13, 0, r"^Fock indices \(13, 0\) outside truncation$"),
             ("g", 0, -1, r"^Fock indices \(0, -1\) outside truncation$"),
             ("x", 0, 0, r"^qubit level must be 'g' or 'e', got 'x'$"),
+            ("e", 1.0, 0, r"^nx must be an integer, got 1.0$"),
+            ("g", 0, True, r"^ny must be an integer, got True$"),
         ],
-        ids=["negative-nx", "nx-above-cutoff", "negative-ny", "bad-qubit"],
+        ids=["negative-nx", "nx-above-cutoff", "negative-ny", "bad-qubit", "float-nx", "bool-ny"],
     )
     def test_population_outside_truncation(self, q, nx, ny, message):
         trunc = Truncation(12, 12, 4)

@@ -91,6 +91,10 @@ class TestSuperpositionPulseTime:
             superposition_pulse_time(-1.0, 10)
         with pytest.raises(ValueError):
             superposition_pulse_time(1.0, 0)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 1.5$"):
+            superposition_pulse_time(1.0, 1.5)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got True$"):
+            SuperpositionPi(True)
 
 
 def grid_candidates(w_vac, w_super, horizon):
@@ -516,6 +520,12 @@ class TestRunSequence:
         assert p_g + p_e == pytest.approx(1.0, abs=1e-12)
         assert result.measurements[0].probability == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("override", ["x", "", "E"])
+    def test_outcome_override_must_be_a_qubit_level(self, override):
+        steps = [Prepare("g", 0, 0), MeasureQubit("g")]
+        with pytest.raises(ValueError, match=f"^outcome_override must be 'g' or 'e', got '{override}'$"):
+            run_sequence(steps, TRUNC, outcome_override=override)
+
     def test_degenerate_branch_raises(self):
         steps = [Prepare("g", 0, 0), MeasureQubit("e")]
         with pytest.raises(PhysicsError):
@@ -579,17 +589,21 @@ class TestStepRecords:
                     assert rec.leakage == 0.0
 
     def test_duration_and_timing_infidelity_exactly_on_auto_timed_pulses(self, random_runs):
+        given = 0
         for program, result in random_runs:
             for step, rec in zip(program.steps, result.steps):
-                auto = isinstance(step, SidebandPulse) and not isinstance(
-                    step.spec.duration, (int, float)
-                )
-                assert (rec.duration is not None, rec.timing_infidelity is not None) == (auto,) * 2
-                if auto:
-                    spec, infid = resolve_duration(
-                        step.spec, rabi_frequencies(step.spec, program.trunc)
-                    )
+                if not isinstance(step, SidebandPulse):
+                    assert (rec.duration, rec.timing_infidelity) == (None, None)
+                    continue
+                spec, infid = resolve_duration(step.spec, rabi_frequencies(step.spec, program.trunc))
+                if isinstance(step.spec.duration, (VacuumPi, SuperpositionPi)):
+                    assert infid is not None
                     assert (rec.duration, rec.timing_infidelity) == (spec.duration, infid)
+                else:
+                    given += 1
+                    assert spec is step.spec and infid is None
+                    assert (rec.duration, rec.timing_infidelity) == (None, None)
+        assert given > 0
 
     def test_leakage_is_what_the_pulse_left_in_the_guard_band(self, random_runs):
         leaked = 0
@@ -659,6 +673,13 @@ class TestCanonicalProtocol:
         )
         assert abs(np.vdot(m_e, m_g)) ** 2 <= 1e-6
 
+    def test_runs_compare_by_value(self):
+        run = run_sequence(self.steps, TRUNC)
+        assert run == run_sequence(self.steps, TRUNC)
+        assert run != run_sequence(self.steps, TRUNC, outcome_override="g")
+        with pytest.raises(TypeError, match="unhashable type: 'HybridState'"):
+            hash(run.final_state)
+
     def test_snapshot_leakage_small(self):
         result = run_sequence(self.steps, TRUNC, outcome_override="g")
         assert all(rec.leakage < 1e-10 for rec in result.steps)
@@ -690,6 +711,13 @@ class TestNoonFidelity:
     def test_order_outside_the_truncation_rejected(self, n):
         with pytest.raises(PhysicsError, match=f"N = {n} "):
             noon_fidelity(basis_state("g", 8, 0, TRUNC), n)
+
+    @pytest.mark.parametrize("n", [8.0, True, "8"])
+    def test_order_must_be_an_integer(self, n):
+        state = basis_state("g", 8, 0, TRUNC)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            noon_fidelity(state, n)
+        assert noon_fidelity(state, np.int64(8)) == noon_fidelity(state, 8)
 
     def test_qubit_level_allows_a_relative_1e_9_in_the_other_level(self):
         for p_e, level in [(0.0, "g"), (1e-10, "g"), (1e-8, None), (0.5, None), (1 - 1e-10, "e")]:
