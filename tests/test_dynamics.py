@@ -395,7 +395,7 @@ class TestApplyPulse:
         )
         assert abs(np.vdot(closed.amp, full.amp)) ** 2 >= 1 - 1e-3
 
-    @pytest.mark.parametrize("marker", [VacuumPi(), SuperpositionPi(10)])
+    @pytest.mark.parametrize("marker", [VacuumPi(), SuperpositionPi(10)], ids=["vacuum", "super"])
     def test_symbolic_duration_rejected(self, marker):
         spec = PulseSpec("x", 4, 0.2, 15000.0, marker, "closed")
         message = f"^apply_pulse needs seconds; solve the marker {re.escape(repr(marker))} first$"
