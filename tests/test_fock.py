@@ -133,7 +133,7 @@ class TestHybridState:
         if np.array_equal(np.asarray(form(amp), dtype=complex), amp):  # forms that hold it
             HybridState(form(amp), trunc)  # fine
 
-    def test_equal_states_compare_equal_and_none_hashes(self):
+    def test_states_compare_by_value_and_are_unhashable(self):
         trunc = Truncation(4, 4, 4)
         state = basis_state("g", 1, 2, trunc)
         assert state == basis_state("g", 1, 2, trunc)
