@@ -56,6 +56,7 @@ from .fock import (
     QUBIT_INDEX,
     HybridState,
     Truncation,
+    _require_finite,
     _require_int,
     check_normalized,
     laguerre_table,
@@ -82,9 +83,7 @@ class SuperpositionPi:
     horizon: int = 1000
 
     def __post_init__(self):
-        _require_int(horizon=self.horizon)
-        if self.horizon < 1:
-            raise ValueError("search horizon must be >= 1")
+        _require_int(1, horizon=self.horizon)
 
 
 _AutoDuration = VacuumPi | SuperpositionPi
@@ -111,18 +110,12 @@ class PulseSpec:
     form: str = "closed"
 
     def __post_init__(self):
-        _require_finite(eta=self.eta, omega=self.omega)
+        _require_finite(0, eta=self.eta, omega=self.omega)
         if not isinstance(self.duration, _AutoDuration):
             _require_finite(duration=self.duration)
         if self.axis not in ("x", "y"):
             raise ValueError(f"pulse axis must be 'x' or 'y', got {self.axis!r}")
-        _require_int(k=self.k)
-        if self.k < 1:
-            raise ValueError("sideband order k must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
+        _require_int(1, k=self.k)
         if self.form not in ("closed", "full"):
             raise ValueError(f"form must be 'closed' or 'full', got {self.form!r}")
 
@@ -136,12 +129,6 @@ class RotationSpec:
 
     def __post_init__(self):
         _require_finite(theta=self.theta, phi=self.phi)
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def coupling_g(spec: PulseSpec) -> float:

@@ -10,6 +10,10 @@ never mutated after construction.  ``check_normalized`` is the one place
 that reduces |psi|^2: it keeps the qubit axis, checks P(g) + P(e) = 1 and
 returns the pair, and a ``HybridState`` carries the pair its own check
 computed, so ``qubit_populations`` reduces nothing again.
+
+The two field checks of every constructor live here: ``_require_int`` and
+``_require_finite`` reject a bool or a value of another type, and a value
+below the lower bound the caller passes, with a ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -38,11 +42,8 @@ class Truncation:
     guard: int = 4
 
     def __post_init__(self):
-        _require_int(n_max_x=self.n_max_x, n_max_y=self.n_max_y, guard=self.guard)
-        if self.n_max_x < 1 or self.n_max_y < 1:
-            raise ValueError("n_max_x and n_max_y must be >= 1")
-        if self.guard < 0:
-            raise ValueError("guard must be >= 0")
+        _require_int(1, n_max_x=self.n_max_x, n_max_y=self.n_max_y)
+        _require_int(0, guard=self.guard)
         if self.guard > min(self.n_max_x, self.n_max_y):
             raise ValueError("guard exceeds the mode dimension")
 
@@ -155,8 +156,7 @@ def laguerre_table(count: int, k: int, x: float) -> list[float]:
 
 def laguerre_assoc(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^(k)(x): entry n of ``laguerre_table``."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be non-negative")
+    _require_int(0, n=n, k=k)
     return laguerre_table(n + 1, k, x)[n]
 
 
@@ -166,8 +166,7 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
     lower |n> = sqrt(n) |n-1>; raise is the conjugate transpose.  The
     coupling out of the top level is truncated away.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _require_int(1, dim=dim)
     diag = np.sqrt(np.arange(1, dim, dtype=float))
     a = np.diag(diag, k=1).astype(complex)
     if which == "lower":
@@ -193,8 +192,21 @@ def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
     return HybridState(amp, trunc)
 
 
-def _require_int(**values) -> None:
-    """ValueError unless each value is an integer, Python or numpy; a bool is not one."""
+def _require_int(lower: int | None = None, /, **values) -> None:
+    """ValueError naming the field unless each value is a Python or numpy integer >= ``lower``, not bool."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if lower is not None and value < lower:
+            raise ValueError(f"{name} must be >= {lower}, got {value!r}")
+
+
+def _require_finite(lower: float | None = None, /, **values) -> None:
+    """``_require_int``'s contract for a finite Python or numpy integer or float >= ``lower``."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if lower is not None and value < lower:
+            raise ValueError(f"{name} must be >= {lower}, got {value!r}")

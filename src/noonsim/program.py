@@ -218,15 +218,15 @@ def parse(text: str) -> Program:
                 values[key.attr] = key.parse(value)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, col) from None
-        try:
-            obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, kw_col) from None
         if line.builds is Prepare:
             for key, top in (("nx", trunc.n_max_x), ("ny", trunc.n_max_y)):
                 if not 0 <= values[key] <= top:
                     message = f"{key}={values[key]} is outside the truncation, 0..{top}"
                     raise ParseError(message, lineno, fields[key][1])
+        try:
+            obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, kw_col) from None
         if line.builds is SidebandPulse:
             try:
                 _driven_dim(obj.spec.k, obj.spec.axis, trunc)

@@ -52,6 +52,11 @@ class Prepare:
     nx: int
     ny: int
 
+    def __post_init__(self):
+        if self.q not in QUBIT_INDEX:
+            raise ValueError(f"qubit level must be 'g' or 'e', got {self.q!r}")
+        _require_int(0, nx=self.nx, ny=self.ny)
+
 
 @dataclass(frozen=True)
 class SidebandPulse:

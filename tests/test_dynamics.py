@@ -289,6 +289,9 @@ class TestEmbedQubitAxis:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             self.lift(ladder(9, "lower", "x").mat, "x")
+        state = basis_state("g", 0, 0, self.trunc)
+        with pytest.raises(ValueError, match="^operator dimension does not match state truncation$"):
+            apply_operator(np.eye(self.trunc.dim - 1), state)
 
     def test_cross_axis_operators_commute(self):
         ax = self.lift(ladder(7, "lower", "x").mat, "x")
@@ -657,21 +660,34 @@ class TestNonFiniteInput:
             dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize(
-        "field, value, error, message",
+        "field, value, message",
         [
-            ("duration", "0.1", TypeError, "must be real number"),
-            ("duration", None, TypeError, "must be real number"),
-            ("k", True, ValueError, "^k must be an integer, got True$"),
-            ("k", 4.0, ValueError, "^k must be an integer, got 4.0$"),
+            ("duration", "0.1", r"^duration must be a real number, got '0.1'$"),
+            ("duration", None, "^duration must be a real number, got None$"),
+            ("duration", True, "^duration must be a real number, got True$"),
+            ("duration", 1 + 0j, r"^duration must be a real number, got \(1\+0j\)$"),
+            ("eta", True, "^eta must be a real number, got True$"),
+            ("eta", "0.2", "^eta must be a real number, got '0.2'$"),
+            ("omega", False, "^omega must be a real number, got False$"),
+            ("omega", 1 + 0j, r"^omega must be a real number, got \(1\+0j\)$"),
+            ("k", True, "^k must be an integer, got True$"),
+            ("k", 4.0, "^k must be an integer, got 4.0$"),
+            ("axis", 0, "^pulse axis must be 'x' or 'y', got 0$"),
+            ("form", None, "^form must be 'closed' or 'full', got None$"),
         ],
-        ids=["str-duration", "None-duration", "bool-k", "float-k"],
+        ids=[
+            "str-duration", "None-duration", "bool-duration", "complex-duration",
+            "bool-eta", "str-eta", "bool-omega", "complex-omega",
+            "bool-k", "float-k", "int-axis", "None-form",
+        ],
     )
-    def test_pulse_spec_field_of_the_wrong_type(self, field, value, error, message):
-        with pytest.raises(error, match=message):
+    def test_pulse_spec_field_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(closed_spec(t=0.1), **{field: value})
 
     @pytest.mark.parametrize("field", ["theta", "phi"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
     def test_rotation_spec(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        kind = "a real number" if value is True else "finite"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
             dataclasses.replace(RotationSpec(1.0, 0.5), **{field: value})

@@ -5,6 +5,7 @@ import pytest
 
 from noonsim import (
     HybridState,
+    ModeOperator,
     PulseSpec,
     Truncation,
     apply_pulse,
@@ -40,7 +41,8 @@ class TestLaguerre:
 
     @pytest.mark.parametrize("n,k", [(-1, 0), (0, -2)])
     def test_negative_arguments(self, n, k):
-        with pytest.raises(ValueError):
+        name, value = ("n", n) if n < 0 else ("k", k)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
             laguerre_assoc(n, k, 1.0)
 
     @pytest.mark.parametrize("x", [0.0, 0.01, 0.04, 1.0, 5.0])
@@ -84,9 +86,22 @@ class TestLadder:
         comm = a @ adag - adag @ a
         assert np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))) <= 1e-12
 
-    def test_bad_which(self):
-        with pytest.raises(ValueError):
-            ladder(4, "sideways")
+    @pytest.mark.parametrize(
+        "dim, which, message",
+        [
+            (4, "sideways", "^which must be 'lower' or 'raise', got 'sideways'$"),
+            (0, "lower", "^dim must be >= 1, got 0$"),
+            (4.0, "lower", "^dim must be an integer, got 4.0$"),
+        ],
+        ids=["bad-which", "zero-dim", "float-dim"],
+    )
+    def test_bad_arguments(self, dim, which, message):
+        with pytest.raises(ValueError, match=message):
+            ladder(dim, which)
+
+    def test_mode_operator_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="^operator matrix must be square$"):
+            ModeOperator(np.zeros((3, 4)), "x")
 
     def test_only_the_two_modes_are_axes(self):
         trunc = Truncation(6, 5, 2)
@@ -132,6 +147,11 @@ class TestHybridState:
         amp[1, 0, 0], amp[0, 2, 3] = 0.5, math.sqrt(0.75)
         if np.array_equal(np.asarray(form(amp), dtype=complex), amp):  # forms that hold it
             HybridState(form(amp), trunc)  # fine
+
+    def test_shape_must_match_the_truncation(self):
+        amp = basis_state("e", 0, 0, Truncation(4, 4, 4)).amp
+        with pytest.raises(ValueError, match=r"^amplitude shape \(2, 5, 5\) does not match truncation \(2, 5, 6\)$"):
+            HybridState(amp, Truncation(4, 5, 4))
 
     def test_states_compare_by_value_and_are_unhashable(self):
         trunc = Truncation(4, 4, 4)

@@ -2,6 +2,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noonsim import (
@@ -106,10 +107,18 @@ class TestParseErrors:
             parse("prepare q=e nx=0 ny=0\nteleport q=g\n")
         assert err.value.line == 2
 
-    def test_unknown_key(self):
+    @pytest.mark.parametrize(
+        "line, col, message",
+        [
+            ("prepare q=e nx=0 ny=0 color=red", 23, "unknown key 'color'"),
+            ("prepare q=e nx=0 ny", 18, "expected key=value, got 'ny'"),
+        ],
+        ids=["unknown-key", "no-equals-sign"],
+    )
+    def test_bad_key_token_names_its_column(self, line, col, message):
         with pytest.raises(ParseError) as err:
-            parse("prepare q=e nx=0 ny=0 color=red\n")
-        assert "color" in str(err.value)
+            parse(line + "\n")
+        assert str(err.value) == f"line 1, col {col}: {message}"
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError):
@@ -242,12 +251,24 @@ class TestParseErrors:
         program = parse("set nmax_x=12 nmax_y=14 guard=4\nprepare q=e nx=12 ny=14\n")
         assert program.steps == (Prepare("e", 12, 14),)
 
-    def test_bad_truncation_names_its_set_line(self):
-        text = VALID.replace("guard=4", "guard=99")
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("guard=4", "guard=99", 1, "guard exceeds the mode dimension"),
+            ("nmax_x=12", "nmax_x=0", 1, "n_max_x must be >= 1, got 0"),
+            ("guard=4", "guard=-1", 1, "guard must be >= 0, got -1"),
+            ("k=4", "k=0", 3, "k must be >= 1, got 0"),
+            ("eta=0.2", "eta=-0.1", 3, "eta must be >= 0, got -0.1"),
+            ("omega=15000.0", "omega=-1", 3, "omega must be >= 0, got -1.0"),
+        ],
+        ids=["guard-above-n_max", "zero-n_max_x", "negative-guard", "zero-k", "negative-eta",
+             "negative-omega"],
+    )
+    def test_value_its_constructor_rejects_names_the_line(self, old, new, line, message):
         with pytest.raises(ParseError) as err:
-            parse(text)
-        assert (err.value.line, err.value.col) == (1, 1)
-        assert "guard" in str(err.value)
+            parse(VALID.replace(old, new, 1))
+        assert str(err.value) == f"line {line}, col 1: {message}"
+        assert (err.value.line, err.value.col) == (line, 1)
 
     def test_totality_on_garbage(self):
         rng = random.Random(99)
@@ -300,6 +321,23 @@ class TestSerialize:
 
 
 class TestProgramInvariants:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("e", 1.0, 0), "^nx must be an integer, got 1.0$"),
+            (("x", 0, 0), "^qubit level must be 'g' or 'e', got 'x'$"),
+            (("e", -1, 0), "^nx must be >= 0, got -1$"),
+            (("e", True, 0), "^nx must be an integer, got True$"),
+        ],
+        ids=["float-nx", "bad-qubit", "negative-nx", "bool-nx"],
+    )
+    def test_prepare_holds_only_what_its_line_can(self, args, message):
+        # each of these would serialize to a prepare line that parse rejects
+        with pytest.raises(ValueError, match=message):
+            Prepare(*args)
+        program = Program(Truncation(), (Prepare("g", 3, np.int64(2)),))
+        assert parse(serialize(program)) == program
+
     def test_prepare_must_lead(self):
         with pytest.raises(ValueError):
             Program(Truncation(), (MeasureQubit("e"),))

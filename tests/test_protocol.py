@@ -509,6 +509,10 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence([Prepare("e", 0, 0), Prepare("g", 0, 0)], TRUNC)
 
+    def test_unknown_step_rejected(self):
+        with pytest.raises(ValueError, match="^unknown step 'measure q=e'$"):
+            run_sequence([Prepare("e", 0, 0), "measure q=e"], TRUNC)
+
     def test_outcome_probabilities_sum_to_one(self):
         steps = [
             Prepare("g", 0, 0),
@@ -525,6 +529,8 @@ class TestRunSequence:
         steps = [Prepare("g", 0, 0), MeasureQubit("g")]
         with pytest.raises(ValueError, match=f"^outcome_override must be 'g' or 'e', got '{override}'$"):
             run_sequence(steps, TRUNC, outcome_override=override)
+        with pytest.raises(ValueError, match=f"^measurement outcome must be 'g' or 'e', got '{override}'$"):
+            MeasureQubit(override)
 
     def test_degenerate_branch_raises(self):
         steps = [Prepare("g", 0, 0), MeasureQubit("e")]
