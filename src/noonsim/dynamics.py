@@ -53,9 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    AXES,
     QUBIT_INDEX,
     HybridState,
     Truncation,
+    _require_choice,
     _require_finite,
     _require_int,
     check_normalized,
@@ -113,11 +115,9 @@ class PulseSpec:
         _require_finite(0, eta=self.eta, omega=self.omega)
         if not isinstance(self.duration, _AutoDuration):
             _require_finite(duration=self.duration)
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"pulse axis must be 'x' or 'y', got {self.axis!r}")
+        _require_choice(AXES, axis=self.axis)
         _require_int(1, k=self.k)
-        if self.form not in ("closed", "full"):
-            raise ValueError(f"form must be 'closed' or 'full', got {self.form!r}")
+        _require_choice(("closed", "full"), form=self.form)
 
 
 @dataclass(frozen=True)

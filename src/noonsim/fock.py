@@ -11,9 +11,12 @@ that reduces |psi|^2: it keeps the qubit axis, checks P(g) + P(e) = 1 and
 returns the pair, and a ``HybridState`` carries the pair its own check
 computed, so ``qubit_populations`` reduces nothing again.
 
-The two field checks of every constructor live here: ``_require_int`` and
-``_require_finite`` reject a bool or a value of another type, and a value
-below the lower bound the caller passes, with a ValueError naming the field.
+The three field checks of every constructor live here: ``_require_int``
+and ``_require_finite`` reject a bool or a value of another type, and a
+value below the lower bound the caller passes; ``_require_choice`` rejects
+anything that is not one of a fixed set of strings.  Each raises a
+``FieldError``, a ValueError naming the field, which ``program.parse``
+reports at the key that set it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 QUBIT_LABELS = ("g", "e")
-QUBIT_INDEX = {"g": 0, "e": 1}
+QUBIT_INDEX = {q: i for i, q in enumerate(QUBIT_LABELS)}
 
 AXES = ("x", "y")
 
@@ -60,11 +63,8 @@ class Truncation:
         return 2 * self.dim_x * self.dim_y
 
     def dim_of(self, axis: str) -> int:
-        if axis == "x":
-            return self.dim_x
-        if axis == "y":
-            return self.dim_y
-        raise ValueError(f"unknown axis {axis!r}")
+        _require_choice(AXES, axis=axis)
+        return self.dim_x if axis == "x" else self.dim_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +136,7 @@ class ModeOperator:
     axis: str
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}")
+        _require_choice(AXES, axis=self.axis)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("operator matrix must be square")
 
@@ -167,19 +166,14 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
     coupling out of the top level is truncated away.
     """
     _require_int(1, dim=dim)
-    diag = np.sqrt(np.arange(1, dim, dtype=float))
-    a = np.diag(diag, k=1).astype(complex)
-    if which == "lower":
-        return ModeOperator(a, axis)
-    if which == "raise":
-        return ModeOperator(a.conj().T, axis)
-    raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
+    _require_choice(("lower", "raise"), which=which)
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return ModeOperator(a if which == "lower" else a.conj().T, axis)
 
 
 def _level_index(q: str, nx: int, ny: int, trunc: Truncation) -> tuple[int, int, int]:
     """The amplitude index of |q, nx, ny>; ValueError unless the level is in the truncation."""
-    if q not in QUBIT_INDEX:
-        raise ValueError(f"qubit level must be 'g' or 'e', got {q!r}")
+    _require_choice(QUBIT_LABELS, q=q)
     _require_int(nx=nx, ny=ny)
     if not (0 <= nx <= trunc.n_max_x and 0 <= ny <= trunc.n_max_y):
         raise ValueError(f"Fock indices ({nx}, {ny}) outside truncation")
@@ -187,26 +181,52 @@ def _level_index(q: str, nx: int, ny: int, trunc: Truncation) -> tuple[int, int,
 
 
 def basis_state(q: str, nx: int, ny: int, trunc: Truncation) -> HybridState:
-    amp = np.zeros((2, trunc.dim_x, trunc.dim_y), dtype=complex)
-    amp[_level_index(q, nx, ny, trunc)] = 1.0
+    """|q, nx, ny>; MemoryError where the truncation's state does not fit in memory."""
+    index = _level_index(q, nx, ny, trunc)
+    shape = (2, trunc.dim_x, trunc.dim_y)
+    try:
+        amp = np.zeros(shape, dtype=complex)
+    except ValueError as exc:  # a shape numpy refuses before it allocates
+        raise MemoryError(f"cannot allocate a state of shape {shape}: {exc}") from None
+    amp[index] = 1.0
     return HybridState(amp, trunc)
 
 
+class FieldError(ValueError):
+    """A value a constructor rejects: the ``field`` it was given for, and what is wrong with it."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"{field} {detail}")
+        self.field, self.detail = field, detail
+
+
 def _require_int(lower: int | None = None, /, **values) -> None:
-    """ValueError naming the field unless each value is a Python or numpy integer >= ``lower``, not bool."""
+    """FieldError unless each value is a Python or numpy integer >= ``lower``, not bool."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise FieldError(name, f"must be an integer, got {value!r}")
         if lower is not None and value < lower:
-            raise ValueError(f"{name} must be >= {lower}, got {value!r}")
+            raise FieldError(name, f"must be >= {lower}, got {value!r}")
 
 
 def _require_finite(lower: float | None = None, /, **values) -> None:
     """``_require_int``'s contract for a finite Python or numpy integer or float >= ``lower``."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise FieldError(name, f"must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range, too long to quote
+            size = value.bit_length()
+            raise FieldError(name, f"must be finite, got an integer of {size} bits") from None
+        if not finite:
+            raise FieldError(name, f"must be finite, got {value!r}")
         if lower is not None and value < lower:
-            raise ValueError(f"{name} must be >= {lower}, got {value!r}")
+            raise FieldError(name, f"must be >= {lower}, got {value!r}")
+
+
+def _require_choice(choices: tuple[str, ...], /, **values) -> None:
+    """``_require_int``'s contract for a ``str`` among ``choices``."""
+    for name, value in values.items():
+        if not (isinstance(value, str) and value in choices):
+            raise FieldError(name, f"must be {' or '.join(map(repr, choices))}, got {value!r}")

@@ -13,6 +13,12 @@ canonical (fixed key order, repr floats), and parse(serialize(p)) == p for
 every valid program.  A program is valid only where it fits its
 truncation: a ``prepare`` level outside it, or a ``pulse`` whose k exceeds
 the guard band (``dynamics._driven_dim``), is a ``ParseError`` at its key.
+
+``parse`` checks syntax and that fit; the constructors of ``Truncation``
+and the steps check values.  A value a constructor rejects by its field
+(``fock.FieldError``) is reported at the key that set it, by the key's
+name, as in ``nmax_x must be >= 1, got 0``; any other constructor error
+at the line's keyword.
 """
 
 from __future__ import annotations
@@ -105,15 +111,6 @@ def _parse_duration(text: str):
     return _parse_real(text)
 
 
-def _choice(what: str, *choices: str) -> Callable[[str], str]:
-    def parse_choice(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"invalid {what} {text!r} (expected one of {', '.join(choices)})")
-        return text
-
-    return parse_choice
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -140,8 +137,6 @@ class _Line(NamedTuple):
     first_only: str | None = None  # error message if the line follows a step
 
 
-_QUBIT = _choice("qubit level", "g", "e")
-
 _FORMAT: dict[str, _Line] = {
     "set": _Line(Truncation, None, (
         _Key("nmax_x", "n_max_x", _parse_int, str),
@@ -149,24 +144,24 @@ _FORMAT: dict[str, _Line] = {
         _Key("guard", "guard", _parse_int, str),
     ), "config lines must precede steps"),
     "prepare": _Line(Prepare, None, (
-        _Key("q", "q", _QUBIT, str),
+        _Key("q", "q", str, str),
         _Key("nx", "nx", _parse_int, str),
         _Key("ny", "ny", _parse_int, str),
     ), "prepare may only appear first"),
     "pulse": _Line(SidebandPulse, PulseSpec, (
-        _Key("axis", "axis", _choice("axis", "x", "y"), str),
+        _Key("axis", "axis", str, str),
         _Key("k", "k", _parse_int, str),
         _Key("eta", "eta", _parse_real, _fmt),
         _Key("omega", "omega", _parse_real, _fmt),
         _Key("t", "duration", _parse_duration, _fmt_duration),
-        _Key("form", "form", _choice("form", "closed", "full"), str),
+        _Key("form", "form", str, str),
     )),
     "rotate": _Line(Rotate, RotationSpec, (
         _Key("theta", "theta", _parse_angle, _fmt),
         _Key("phi", "phi", _parse_angle, _fmt),
     )),
     "measure": _Line(MeasureQubit, None, (
-        _Key("q", "outcome", _QUBIT, str),
+        _Key("q", "outcome", str, str),
     )),
 }
 _KEY_NAMES = {keyword: [key.name for key in line.keys] for keyword, line in _FORMAT.items()}
@@ -225,8 +220,11 @@ def parse(text: str) -> Program:
                     raise ParseError(message, lineno, fields[key][1])
         try:
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, kw_col) from None
+        except ValueError as exc:  # a FieldError names the attribute that one key sets
+            key = next((k for k in line.keys if k.attr == getattr(exc, "field", None)), None)
+            if key is None:
+                raise ParseError(str(exc), lineno, kw_col) from None
+            raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
         if line.builds is SidebandPulse:
             try:
                 _driven_dim(obj.spec.k, obj.spec.axis, trunc)

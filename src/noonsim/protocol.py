@@ -28,7 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .fock import QUBIT_INDEX, HybridState, Truncation, _require_int, basis_state
+from .fock import QUBIT_INDEX, QUBIT_LABELS, HybridState, Truncation, basis_state
+from .fock import _require_choice, _require_int
 from .dynamics import (
     PhysicsError,
     PulseSpec,
@@ -53,8 +54,7 @@ class Prepare:
     ny: int
 
     def __post_init__(self):
-        if self.q not in QUBIT_INDEX:
-            raise ValueError(f"qubit level must be 'g' or 'e', got {self.q!r}")
+        _require_choice(QUBIT_LABELS, q=self.q)
         _require_int(0, nx=self.nx, ny=self.ny)
 
 
@@ -73,8 +73,7 @@ class MeasureQubit:
     outcome: str
 
     def __post_init__(self):
-        if self.outcome not in QUBIT_INDEX:
-            raise ValueError(f"measurement outcome must be 'g' or 'e', got {self.outcome!r}")
+        _require_choice(QUBIT_LABELS, outcome=self.outcome)
 
 
 Step = Union[Prepare, SidebandPulse, Rotate, MeasureQubit]
@@ -388,10 +387,13 @@ def run_sequence(
     the requested qubit level (or the override), record the branch
     probability, and renormalize; ``outcome_override``, if given, is 'g' or
     'e'.  Every record keeps its state.  Leakage above ``leakage_limit``
-    raises; pass ``math.inf`` to disable the check.
+    raises; pass ``math.inf`` to disable the check.  A NaN or negative
+    limit is a ValueError.
     """
-    if outcome_override not in (None, *QUBIT_INDEX):
-        raise ValueError(f"outcome_override must be 'g' or 'e', got {outcome_override!r}")
+    if outcome_override is not None:
+        _require_choice(QUBIT_LABELS, outcome_override=outcome_override)
+    if not leakage_limit >= 0:  # NaN too, which would switch the check off
+        raise ValueError(f"leakage_limit must be >= 0, got {leakage_limit!r}")
     if not steps or not isinstance(steps[0], Prepare):
         raise ValueError("a sequence must start with a Prepare step")
     if any(isinstance(s, Prepare) for s in steps[1:]):

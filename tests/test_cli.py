@@ -158,16 +158,27 @@ class TestRun:
         assert code == 3
         assert json.loads(err)["error"] == "physics"
 
-    def test_truncation_beyond_memory_is_one_physics_error_line(self, capsys, tmp_path):
-        # 2 x 10^14 complex amplitudes: numpy refuses 2.84 PiB without allocating
+    @pytest.mark.parametrize(
+        "nmax, message",
+        [
+            # 2 x 10^14 complex amplitudes: numpy refuses 2.84 PiB without allocating
+            (10**7, "Unable to allocate 2.84 PiB"),
+            # shapes numpy rejects outright, before it tries to allocate
+            (4 * 10**9, "cannot allocate a state of shape (2, 4000000001, 4000000001): "),
+            (10**23 - 1, f"cannot allocate a state of shape (2, {10**23}, {10**23}): "),
+        ],
+        ids=["unable-to-allocate", "array-too-big", "dimension-beyond-numpy"],
+    )
+    def test_truncation_beyond_memory_is_one_physics_error_line(self, capsys, tmp_path,
+                                                                nmax, message):
         prog = tmp_path / "huge.pp"
-        prog.write_text("set nmax_x=10000000 nmax_y=10000000 guard=4\n"
+        prog.write_text(f"set nmax_x={nmax} nmax_y={nmax} guard=4\n"
                         "prepare q=e nx=0 ny=0\n")
         code, out, err = run_cli(capsys, "run", str(prog))
         assert (code, out, err.count("\n")) == (3, "", 1)
         doc = json.loads(err)
         assert doc["error"] == "physics"
-        assert doc["message"].startswith("Unable to allocate 2.84 PiB")
+        assert doc["message"].startswith(message)
 
     def test_overflowing_phase_is_one_physics_error_line(self, capsys, tmp_path):
         prog = tmp_path / "long.pp"

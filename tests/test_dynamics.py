@@ -222,7 +222,7 @@ class TestClosedFormUnitary:
         assert np.count_nonzero(u - np.eye(trunc.dim)) == 4 * 5  # 4 entries per pair, 5 pairs
 
     def test_bad_axis(self):
-        with pytest.raises(ValueError, match="unknown axis 'z'"):
+        with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'z'$"):
             closed_form_unitary(1.0, 0.1, TRUNC, "z")
 
     def test_conserves_phonons_plus_excitation(self):
@@ -672,7 +672,7 @@ class TestNonFiniteInput:
             ("omega", 1 + 0j, r"^omega must be a real number, got \(1\+0j\)$"),
             ("k", True, "^k must be an integer, got True$"),
             ("k", 4.0, "^k must be an integer, got 4.0$"),
-            ("axis", 0, "^pulse axis must be 'x' or 'y', got 0$"),
+            ("axis", 0, "^axis must be 'x' or 'y', got 0$"),
             ("form", None, "^form must be 'closed' or 'full', got None$"),
         ],
         ids=[
@@ -684,6 +684,21 @@ class TestNonFiniteInput:
     def test_pulse_spec_field_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(closed_spec(t=0.1), **{field: value})
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda value: PulseSpec("x", 4, value, 1.0, 0.1), "eta"),
+            (lambda value: RotationSpec(value, 0.0), "theta"),
+        ],
+        ids=["pulse-eta", "rotation-theta"],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_the_float_range(self, build, field, sign):
+        # 10**400 is finite as an int, but no float holds it; its 401 digits are not quoted
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got an integer of 1329 bits$"):
+            build(sign * 10**400)
+        build(10**300)  # an int within the float range stands
 
     @pytest.mark.parametrize("field", ["theta", "phi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])

@@ -106,9 +106,9 @@ class TestLadder:
     def test_only_the_two_modes_are_axes(self):
         trunc = Truncation(6, 5, 2)
         assert (trunc.dim_of("x"), trunc.dim_of("y")) == (7, 6)
-        with pytest.raises(ValueError, match="unknown axis"):
+        with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'qubit'$"):
             trunc.dim_of("qubit")
-        with pytest.raises(ValueError, match="unknown axis"):
+        with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'qubit'$"):
             ladder(2, "lower", "qubit")
 
 
@@ -189,7 +189,7 @@ class TestHybridState:
             ("e", -13, 0, r"^Fock indices \(-13, 0\) outside truncation$"),
             ("e", 13, 0, r"^Fock indices \(13, 0\) outside truncation$"),
             ("g", 0, -1, r"^Fock indices \(0, -1\) outside truncation$"),
-            ("x", 0, 0, r"^qubit level must be 'g' or 'e', got 'x'$"),
+            ("x", 0, 0, r"^q must be 'g' or 'e', got 'x'$"),
             ("e", 1.0, 0, r"^nx must be an integer, got 1.0$"),
             ("g", 0, True, r"^ny must be an integer, got True$"),
         ],

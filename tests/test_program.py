@@ -252,23 +252,30 @@ class TestParseErrors:
         assert program.steps == (Prepare("e", 12, 14),)
 
     @pytest.mark.parametrize(
-        "old, new, line, message",
+        "old, new, line, col, message",
         [
-            ("guard=4", "guard=99", 1, "guard exceeds the mode dimension"),
-            ("nmax_x=12", "nmax_x=0", 1, "n_max_x must be >= 1, got 0"),
-            ("guard=4", "guard=-1", 1, "guard must be >= 0, got -1"),
-            ("k=4", "k=0", 3, "k must be >= 1, got 0"),
-            ("eta=0.2", "eta=-0.1", 3, "eta must be >= 0, got -0.1"),
-            ("omega=15000.0", "omega=-1", 3, "omega must be >= 0, got -1.0"),
+            # not one field's error: reported at the keyword
+            ("guard=4", "guard=99", 1, 1, "guard exceeds the mode dimension"),
+            # one field's error: reported at its key, by the key's name
+            ("nmax_x=12", "nmax_x=0", 1, 5, "nmax_x must be >= 1, got 0"),
+            ("guard=4", "guard=-1", 1, 25, "guard must be >= 0, got -1"),
+            ("q=e", "q=x", 2, 9, "q must be 'g' or 'e', got 'x'"),
+            ("axis=x", "axis=z", 3, 7, "axis must be 'x' or 'y', got 'z'"),
+            ("k=4", "k=0", 3, 14, "k must be >= 1, got 0"),
+            ("eta=0.2", "eta=-0.1", 3, 18, "eta must be >= 0, got -0.1"),
+            ("omega=15000.0", "omega=-1", 3, 26, "omega must be >= 0, got -1.0"),
+            ("form=closed", "form=f", 3, 62, "form must be 'closed' or 'full', got 'f'"),
+            ("measure q=e", "measure q=x", 5, 9, "q must be 'g' or 'e', got 'x'"),
         ],
-        ids=["guard-above-n_max", "zero-n_max_x", "negative-guard", "zero-k", "negative-eta",
-             "negative-omega"],
+        ids=["guard-above-n_max", "zero-n_max_x", "negative-guard", "prepare-bad-qubit",
+             "bad-axis", "zero-k", "negative-eta", "negative-omega", "bad-form",
+             "measure-bad-qubit"],
     )
-    def test_value_its_constructor_rejects_names_the_line(self, old, new, line, message):
+    def test_value_its_constructor_rejects_names_the_line(self, old, new, line, col, message):
         with pytest.raises(ParseError) as err:
             parse(VALID.replace(old, new, 1))
-        assert str(err.value) == f"line {line}, col 1: {message}"
-        assert (err.value.line, err.value.col) == (line, 1)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_totality_on_garbage(self):
         rng = random.Random(99)
@@ -325,7 +332,7 @@ class TestProgramInvariants:
         "args, message",
         [
             (("e", 1.0, 0), "^nx must be an integer, got 1.0$"),
-            (("x", 0, 0), "^qubit level must be 'g' or 'e', got 'x'$"),
+            (("x", 0, 0), "^q must be 'g' or 'e', got 'x'$"),
             (("e", -1, 0), "^nx must be >= 0, got -1$"),
             (("e", True, 0), "^nx must be an integer, got True$"),
         ],

@@ -21,6 +21,7 @@ from noonsim import (
     VacuumPi,
     apply_pulse,
     build_noon8,
+    ladder,
     noon_fidelity,
     run_sequence,
     superposition_pulse_time,
@@ -529,7 +530,7 @@ class TestRunSequence:
         steps = [Prepare("g", 0, 0), MeasureQubit("g")]
         with pytest.raises(ValueError, match=f"^outcome_override must be 'g' or 'e', got '{override}'$"):
             run_sequence(steps, TRUNC, outcome_override=override)
-        with pytest.raises(ValueError, match=f"^measurement outcome must be 'g' or 'e', got '{override}'$"):
+        with pytest.raises(ValueError, match=f"^outcome must be 'g' or 'e', got '{override}'$"):
             MeasureQubit(override)
 
     def test_degenerate_branch_raises(self):
@@ -561,6 +562,40 @@ class TestRunSequence:
         ]
         with pytest.raises(PhysicsError):
             run_sequence(steps, TRUNC, leakage_limit=1e-12)
+
+    @pytest.mark.parametrize("limit", [math.nan, -1.0, -1], ids=["nan", "negative", "negative-int"])
+    def test_leakage_limit_must_be_a_bound(self, limit):
+        # at n_max = 8 this pulse leaves 7.1e-2 in the guard band; NaN would let it pass
+        leaky = [Prepare("e", 4, 0), SidebandPulse(PulseSpec("x", 4, 0.2, 15000.0, 0.3))]
+        trunc = Truncation(8, 8, 4)
+        with pytest.raises(PhysicsError, match="^guard-band leakage 7.116e-02 at step 1"):
+            run_sequence(leaky, trunc)
+        assert run_sequence(leaky, trunc, leakage_limit=math.inf).steps[1].leakage > 0.07
+        for steps in (leaky, [Prepare("e", 0, 0)]):  # a run without leakage, too
+            with pytest.raises(ValueError, match=f"^leakage_limit must be >= 0, got {limit!r}$"):
+                run_sequence(steps, trunc, leakage_limit=limit)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda label: Prepare(label, 0, 0), "q"),
+        (lambda label: MeasureQubit(label), "outcome"),
+        (lambda label: basis_state(label, 0, 0, TRUNC), "q"),
+        (lambda label: basis_state("e", 0, 0, TRUNC).population(label, 0, 0), "q"),
+        (lambda label: PulseSpec(label, 4, 0.2, 1.0, 0.1), "axis"),
+        (lambda label: PulseSpec("x", 4, 0.2, 1.0, 0.1, label), "form"),
+        (lambda label: ladder(3, label), "which"),
+        (lambda label: run_sequence([Prepare("g", 0, 0)], TRUNC, outcome_override=label),
+         "outcome_override"),
+    ],
+    ids=["prepare", "measure", "basis-state", "population", "pulse-axis", "pulse-form", "ladder",
+         "outcome-override"],
+)
+def test_a_label_that_is_not_a_string_names_its_field(build, field):
+    # a list is unhashable: a membership test on a set or dict raises TypeError, not this
+    with pytest.raises(ValueError, match=rf"^{field} must be '\w+' or '\w+', got \['e'\]$"):
+        build(["e"])
 
 
 @pytest.fixture(scope="module")
