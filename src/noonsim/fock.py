@@ -14,9 +14,11 @@ computed, so ``qubit_populations`` reduces nothing again.
 The three field checks of every constructor live here: ``_require_int``
 and ``_require_finite`` reject a bool or a value of another type, and a
 value below the lower bound the caller passes; ``_require_choice`` rejects
-anything that is not one of a fixed set of strings.  Each raises a
-``FieldError``, a ValueError naming the field, which ``program.parse``
-reports at the key that set it.
+anything that is not one of a fixed set of strings.  The two fit rules of a
+truncation live here too: a guard band no deeper than either mode
+(``Truncation``) and a Fock level within it (``_level_index``).  Each check
+raises a ``FieldError``, a ValueError naming the field, which
+``program.parse`` reports at the key that set it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class Truncation:
     def __post_init__(self):
         _require_int(1, n_max_x=self.n_max_x, n_max_y=self.n_max_y)
         _require_int(0, guard=self.guard)
-        if self.guard > min(self.n_max_x, self.n_max_y):
-            raise ValueError("guard exceeds the mode dimension")
+        top = min(self.n_max_x, self.n_max_y)
+        if self.guard > top:
+            raise FieldError("guard", f"must be <= {top}, got {self.guard!r}")
 
     @property
     def dim_x(self) -> int:
@@ -172,11 +175,12 @@ def ladder(dim: int, which: str, axis: str = "x") -> ModeOperator:
 
 
 def _level_index(q: str, nx: int, ny: int, trunc: Truncation) -> tuple[int, int, int]:
-    """The amplitude index of |q, nx, ny>; ValueError unless the level is in the truncation."""
+    """The amplitude index of |q, nx, ny>; FieldError unless the level is in the truncation."""
     _require_choice(QUBIT_LABELS, q=q)
-    _require_int(nx=nx, ny=ny)
-    if not (0 <= nx <= trunc.n_max_x and 0 <= ny <= trunc.n_max_y):
-        raise ValueError(f"Fock indices ({nx}, {ny}) outside truncation")
+    _require_int(0, nx=nx, ny=ny)
+    for name, n, top in (("nx", nx, trunc.n_max_x), ("ny", ny, trunc.n_max_y)):
+        if n > top:
+            raise FieldError(name, f"must be <= {top}, got {n!r}")
     return QUBIT_INDEX[q], nx, ny
 
 

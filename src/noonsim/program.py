@@ -11,14 +11,15 @@ names the attribute it sets, its parser and its formatter.  ``parse``,
 ``serialize`` and ``step_keyword`` all read that table.  Serialization is
 canonical (fixed key order, repr floats), and parse(serialize(p)) == p for
 every valid program.  A program is valid only where it fits its
-truncation: a ``prepare`` level outside it, or a ``pulse`` whose k exceeds
-the guard band (``dynamics._driven_dim``), is a ``ParseError`` at its key.
+truncation.
 
-``parse`` checks syntax and that fit; the constructors of ``Truncation``
-and the steps check values.  A value a constructor rejects by its field
-(``fock.FieldError``) is reported at the key that set it, by the key's
-name, as in ``nmax_x must be >= 1, got 0``; any other constructor error
-at the line's keyword.
+``parse`` checks only syntax.  Each value and fit rule is checked once,
+where it lives: the constructors of ``Truncation`` and the steps check
+values, ``fock._level_index`` that a ``prepare`` level is in the
+truncation, and ``dynamics._driven_dim`` that a ``pulse``'s k fits the
+guard band.  Each failure is a ``ParseError`` at the key that set the
+value; a ``fock.FieldError`` is reported by the key's name, as in
+``nmax_x must be >= 1, got 0`` or ``omega must be finite, got inf``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .fock import Truncation
+from .fock import FieldError, Truncation, _level_index
 from .dynamics import (
     PhysicsError,
     PulseSpec,
@@ -79,12 +80,9 @@ def _parse_int(text: str) -> int:
 
 def _parse_real(text: str, what: str = "number") -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"invalid {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
 
 
 def _parse_angle(text: str) -> float:
@@ -96,10 +94,7 @@ def _parse_angle(text: str) -> float:
     den = float(m.group(3) or "1")
     if den == 0:
         raise ValueError(f"invalid angle {text!r} (zero denominator)")
-    value = num * math.pi / den
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite angle {text!r}")
-    return value
+    return num * math.pi / den
 
 
 def _parse_duration(text: str):
@@ -213,17 +208,12 @@ def parse(text: str) -> Program:
                 values[key.attr] = key.parse(value)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, col) from None
-        if line.builds is Prepare:
-            for key, top in (("nx", trunc.n_max_x), ("ny", trunc.n_max_y)):
-                if not 0 <= values[key] <= top:
-                    message = f"{key}={values[key]} is outside the truncation, 0..{top}"
-                    raise ParseError(message, lineno, fields[key][1])
         try:
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
-        except ValueError as exc:  # a FieldError names the attribute that one key sets
-            key = next((k for k in line.keys if k.attr == getattr(exc, "field", None)), None)
-            if key is None:
-                raise ParseError(str(exc), lineno, kw_col) from None
+            if line.builds is Prepare:
+                _level_index(obj.q, obj.nx, obj.ny, trunc)
+        except FieldError as exc:  # names the attribute that one key sets
+            key = next(k for k in line.keys if k.attr == exc.field)
             raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
         if line.builds is SidebandPulse:
             try:

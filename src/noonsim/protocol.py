@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .fock import QUBIT_INDEX, QUBIT_LABELS, HybridState, Truncation, basis_state
-from .fock import _require_choice, _require_int
+from .fock import FieldError, _require_choice, _require_finite, _require_int
 from .dynamics import (
     PhysicsError,
     PulseSpec,
@@ -387,13 +387,13 @@ def run_sequence(
     the requested qubit level (or the override), record the branch
     probability, and renormalize; ``outcome_override``, if given, is 'g' or
     'e'.  Every record keeps its state.  Leakage above ``leakage_limit``
-    raises; pass ``math.inf`` to disable the check.  A NaN or negative
-    limit is a ValueError.
+    raises; pass ``math.inf`` to disable the check.  Any other limit that
+    is not a finite real number >= 0 is a ``FieldError``.
     """
     if outcome_override is not None:
         _require_choice(QUBIT_LABELS, outcome_override=outcome_override)
-    if not leakage_limit >= 0:  # NaN too, which would switch the check off
-        raise ValueError(f"leakage_limit must be >= 0, got {leakage_limit!r}")
+    if leakage_limit != math.inf:
+        _require_finite(0, leakage_limit=leakage_limit)
     if not steps or not isinstance(steps[0], Prepare):
         raise ValueError("a sequence must start with a Prepare step")
     if any(isinstance(s, Prepare) for s in steps[1:]):
@@ -450,10 +450,13 @@ def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
     Prepare |e,0,0>; vacuum pi pulse on x; reset rotation g -> e; vacuum
     pi pulse on y; half rotation to (|e>+|g>)/sqrt(2); superposition pulse
     on x then y; analysis rotation; measure.  The shipped measurement
-    outcome is 'e'; override at run time for the other branch.
+    outcome is 'e'; override at run time for the other branch.  Each
+    coupling is a finite real number > 0, or a ``FieldError`` names it.
     """
-    if g_x <= 0 or g_y <= 0:
-        raise ValueError("couplings must be positive")
+    _require_finite(0, g_x=g_x, g_y=g_y)
+    for name, g in (("g_x", g_x), ("g_y", g_y)):
+        if g <= 0:
+            raise FieldError(name, f"must be > 0, got {g!r}")
     half_pi = math.pi / 2.0
     return [
         Prepare("e", 0, 0),

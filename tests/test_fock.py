@@ -13,7 +13,7 @@ from noonsim import (
     ladder,
     laguerre_assoc,
 )
-from noonsim.fock import check_normalized
+from noonsim.fock import FieldError, check_normalized
 
 # a (2, dx, dy) complex128 array in the forms a caller may hand to HybridState
 AMPLITUDE_FORMS = {
@@ -180,20 +180,23 @@ class TestHybridState:
             check_normalized(np.stack([good, np.nan * good, 2 * good]))
 
     def test_basis_state_outside_truncation(self):
-        with pytest.raises(ValueError):
-            basis_state("g", 13, 0, Truncation(12, 12, 4))
+        with pytest.raises(FieldError, match="^nx must be <= 12, got 13$") as err:
+            basis_state("e", 13, 0, Truncation())
+        assert err.value.field == "nx"
 
     @pytest.mark.parametrize(
         "q, nx, ny, message",
         [
-            ("e", -13, 0, r"^Fock indices \(-13, 0\) outside truncation$"),
-            ("e", 13, 0, r"^Fock indices \(13, 0\) outside truncation$"),
-            ("g", 0, -1, r"^Fock indices \(0, -1\) outside truncation$"),
+            ("e", -13, 0, r"^nx must be >= 0, got -13$"),
+            ("e", 13, 0, r"^nx must be <= 12, got 13$"),
+            ("g", 0, -1, r"^ny must be >= 0, got -1$"),
+            ("g", 0, 13, r"^ny must be <= 12, got 13$"),
             ("x", 0, 0, r"^q must be 'g' or 'e', got 'x'$"),
             ("e", 1.0, 0, r"^nx must be an integer, got 1.0$"),
             ("g", 0, True, r"^ny must be an integer, got True$"),
         ],
-        ids=["negative-nx", "nx-above-cutoff", "negative-ny", "bad-qubit", "float-nx", "bool-ny"],
+        ids=["negative-nx", "nx-above-cutoff", "negative-ny", "ny-above-cutoff", "bad-qubit",
+             "float-nx", "bool-ny"],
     )
     def test_population_outside_truncation(self, q, nx, ny, message):
         trunc = Truncation(12, 12, 4)

@@ -34,6 +34,37 @@ VALID = (
     "rotate theta=0.5 phi=0.25\n"
 )
 
+# one bad value per key of VALID, and the whole message parse reports at that key
+BAD_VALUES = [
+    (1, "nmax_x", "a", "invalid integer 'a'"),
+    (1, "nmax_y", "1.5", "invalid integer '1.5'"),
+    (1, "guard", "four", "invalid integer 'four'"),
+    (2, "q", "x", "q must be 'g' or 'e', got 'x'"),
+    (2, "nx", "zero", "invalid integer 'zero'"),
+    (2, "ny", "-", "invalid integer '-'"),
+    (3, "axis", "z", "axis must be 'x' or 'y', got 'z'"),
+    (3, "k", "two", "invalid integer 'two'"),
+    (3, "eta", "small", "invalid number 'small'"),
+    (3, "omega", "1e999", "omega must be finite, got inf"),
+    (3, "t", "auto_super_pi(0)", "horizon must be >= 1, got 0"),
+    (3, "form", "f", "form must be 'closed' or 'full', got 'f'"),
+    (4, "theta", "tau", "invalid angle 'tau'"),
+    (4, "theta", "pi/0", "invalid angle 'pi/0' (zero denominator)"),
+    (4, "theta", "1" + "9" * 309 + "pi", "theta must be finite, got inf"),
+    (4, "phi", "nan", "phi must be finite, got nan"),
+    (4, "phi", "-pi/0.0", "invalid angle '-pi/0.0' (zero denominator)"),
+    (5, "q", "x", "q must be 'g' or 'e', got 'x'"),
+]
+
+# a prepare level outside 0..12, at its key
+FOCK_INDICES_OUTSIDE = [
+    ("prepare q=e nx=99 ny=0", 13, "nx must be <= 12, got 99"),
+    ("prepare q=e nx=-1 ny=0", 13, "nx must be >= 0, got -1"),
+    ("prepare q=e nx=13 ny=0", 13, "nx must be <= 12, got 13"),
+    ("prepare q=e nx=0 ny=13", 18, "ny must be <= 12, got 13"),
+    ("  prepare q=g ny=-2 nx=12", 15, "ny must be >= 0, got -2"),
+]
+
 
 class TestParse:
     def test_single_prepare(self):
@@ -160,44 +191,29 @@ class TestParseErrors:
         ],
     )
     def test_non_finite_number_names_line_and_column(self, line, key, text):
+        # parsed as a float; the constructor rejects it by field, and parse reports it at its key
+        shown = {"nan": "nan", "inf": "inf", "-inf": "-inf", "1e999": "inf"}[text]
         line = line.format(text)
         with pytest.raises(ParseError) as err:
             parse("prepare q=e nx=0 ny=0\n" + line + "\n")
-        assert err.value.line == 2
-        assert err.value.col == line.index(f" {key}=") + 2
-        assert "non-finite" in str(err.value)
+        col = line.index(f" {key}=") + 2
+        assert str(err.value) == f"line 2, col {col}: {key} must be finite, got {shown}"
+        assert (err.value.line, err.value.col) == (2, col)
 
     @pytest.mark.parametrize(
-        "lineno, key, bad",
-        [
-            (1, "nmax_x", "a"),
-            (1, "nmax_y", "1.5"),
-            (1, "guard", "four"),
-            (2, "q", "x"),
-            (2, "nx", "zero"),
-            (2, "ny", "-"),
-            (3, "axis", "z"),
-            (3, "k", "two"),
-            (3, "eta", "small"),
-            (3, "omega", "1e999"),
-            (3, "t", "auto_super_pi(0)"),
-            (3, "form", "f"),
-            (4, "theta", "tau"),
-            (4, "theta", "pi/0"),
-            (4, "theta", "1" + "9" * 309 + "pi"),
-            (4, "phi", "nan"),
-            (4, "phi", "-pi/0.0"),
-            (5, "q", "x"),
-        ],
+        "lineno, key, bad, message",
+        BAD_VALUES,
+        ids=[f"{lineno}-{key}-{bad}" for lineno, key, bad, _ in BAD_VALUES],
     )
-    def test_bad_value_names_its_key_line_and_column(self, lineno, key, bad):
+    def test_bad_value_names_its_key_line_and_column(self, lineno, key, bad, message):
         lines = VALID.splitlines()
         before, _, after = lines[lineno - 1].partition(f" {key}=")
         lines[lineno - 1] = f"{before} {key}={bad} {after.partition(' ')[2]}".rstrip()
         with pytest.raises(ParseError) as err:
             parse("\n".join(lines) + "\n")
-        assert (err.value.line, err.value.col) == (lineno, len(before) + 2)
-        assert repr(bad) in str(err.value) or "horizon" in str(err.value)
+        col = len(before) + 2
+        assert str(err.value) == f"line {lineno}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (lineno, col)
 
     def test_first_step_that_is_not_a_prepare_names_its_line(self):
         with pytest.raises(ParseError) as err:
@@ -206,19 +222,15 @@ class TestParseErrors:
         assert "prepare" in str(err.value)
 
     @pytest.mark.parametrize(
-        "line, col",
-        [
-            ("prepare q=e nx=99 ny=0", 13),
-            ("prepare q=e nx=-1 ny=0", 13),
-            ("prepare q=e nx=0 ny=13", 18),
-            ("  prepare q=g ny=-2 nx=12", 15),
-        ],
+        "line, col, message",
+        FOCK_INDICES_OUTSIDE,
+        ids=[f"{line}-{col}" for line, col, _ in FOCK_INDICES_OUTSIDE],
     )
-    def test_fock_index_outside_the_truncation_names_its_key(self, line, col):
+    def test_fock_index_outside_the_truncation_names_its_key(self, line, col, message):
         with pytest.raises(ParseError) as err:
             parse("set nmax_x=12 nmax_y=12 guard=4\n# comment\n" + line + "\n")
+        assert str(err.value) == f"line 3, col {col}: {message}"
         assert (err.value.line, err.value.col) == (3, col)
-        assert "outside the truncation" in str(err.value)
 
     @pytest.mark.parametrize(
         "text, line, col, message",
@@ -254,9 +266,10 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "old, new, line, col, message",
         [
-            # not one field's error: reported at the keyword
-            ("guard=4", "guard=99", 1, 1, "guard exceeds the mode dimension"),
-            # one field's error: reported at its key, by the key's name
+            # each is one field's error: reported at its key, by the key's name
+            ("guard=4", "guard=99", 1, 25, "guard must be <= 12, got 99"),
+            ("nmax_x=12", "nmax_x=3", 1, 24, "guard must be <= 3, got 4"),
+            ("nmax_x=12 nmax_y=12", "nmax_x=5 nmax_y=2", 1, 23, "guard must be <= 2, got 4"),
             ("nmax_x=12", "nmax_x=0", 1, 5, "nmax_x must be >= 1, got 0"),
             ("guard=4", "guard=-1", 1, 25, "guard must be >= 0, got -1"),
             ("q=e", "q=x", 2, 9, "q must be 'g' or 'e', got 'x'"),
@@ -267,8 +280,8 @@ class TestParseErrors:
             ("form=closed", "form=f", 3, 62, "form must be 'closed' or 'full', got 'f'"),
             ("measure q=e", "measure q=x", 5, 9, "q must be 'g' or 'e', got 'x'"),
         ],
-        ids=["guard-above-n_max", "zero-n_max_x", "negative-guard", "prepare-bad-qubit",
-             "bad-axis", "zero-k", "negative-eta", "negative-omega", "bad-form",
+        ids=["guard-above-n_max", "guard-above-n_max_x", "guard-above-n_max_y", "zero-n_max_x",
+             "negative-guard", "prepare-bad-qubit", "bad-axis", "zero-k", "negative-eta", "negative-omega", "bad-form",
              "measure-bad-qubit"],
     )
     def test_value_its_constructor_rejects_names_the_line(self, old, new, line, col, message):

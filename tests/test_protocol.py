@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -27,7 +28,7 @@ from noonsim import (
     superposition_pulse_time,
     vacuum_pulse_time,
 )
-from noonsim.fock import HybridState, basis_state
+from noonsim.fock import FieldError, HybridState, basis_state
 from noonsim.dynamics import rabi_frequencies
 from noonsim.protocol import (
     _RUN_TAIL,
@@ -563,8 +564,19 @@ class TestRunSequence:
         with pytest.raises(PhysicsError):
             run_sequence(steps, TRUNC, leakage_limit=1e-12)
 
-    @pytest.mark.parametrize("limit", [math.nan, -1.0, -1], ids=["nan", "negative", "negative-int"])
-    def test_leakage_limit_must_be_a_bound(self, limit):
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            (math.nan, "must be finite, got nan"),
+            (-1.0, "must be >= 0, got -1.0"),
+            (-1, "must be >= 0, got -1"),
+            ("1e-6", "must be a real number, got '1e-6'"),
+            (None, "must be a real number, got None"),
+            (True, "must be a real number, got True"),
+        ],
+        ids=["nan", "negative", "negative-int", "str", "None", "bool"],
+    )
+    def test_leakage_limit_must_be_a_bound(self, limit, message):
         # at n_max = 8 this pulse leaves 7.1e-2 in the guard band; NaN would let it pass
         leaky = [Prepare("e", 4, 0), SidebandPulse(PulseSpec("x", 4, 0.2, 15000.0, 0.3))]
         trunc = Truncation(8, 8, 4)
@@ -572,7 +584,7 @@ class TestRunSequence:
             run_sequence(leaky, trunc)
         assert run_sequence(leaky, trunc, leakage_limit=math.inf).steps[1].leakage > 0.07
         for steps in (leaky, [Prepare("e", 0, 0)]):  # a run without leakage, too
-            with pytest.raises(ValueError, match=f"^leakage_limit must be >= 0, got {limit!r}$"):
+            with pytest.raises(FieldError, match=f"^leakage_limit {re.escape(message)}$"):
                 run_sequence(steps, trunc, leakage_limit=limit)
 
 
@@ -790,9 +802,24 @@ class TestBuildNoon8:
         assert isinstance(steps[5].spec.duration, SuperpositionPi)
         assert steps[5].spec.duration.horizon == 300
 
-    def test_positive_couplings_required(self):
-        with pytest.raises(ValueError):
-            build_noon8(0.0, 1.0, 10)
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (0.0, "must be > 0, got 0.0"),
+            (-0.0, "must be > 0, got -0.0"),
+            (-1.0, "must be >= 0, got -1.0"),
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            ("1", "must be a real number, got '1'"),
+            (None, "must be a real number, got None"),
+            (True, "must be a real number, got True"),
+        ],
+        ids=["zero", "negative-zero", "negative", "nan", "inf", "str", "None", "bool"],
+    )
+    def test_positive_couplings_required(self, g, message):
+        for name, args in (("g_x", (g, 1.0)), ("g_y", (1.0, g))):
+            with pytest.raises(FieldError, match=f"^{name} {re.escape(message)}$"):
+                build_noon8(*args, 10)
 
     def test_asymmetric_couplings_still_work(self):
         result = run_sequence(build_noon8(1.0, 1.7, 1000), TRUNC, outcome_override="g")
