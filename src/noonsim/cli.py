@@ -5,7 +5,9 @@ the guard band included), 3 physics error or guard-band leakage (a
 truncation whose state does not fit in memory included), 4 I/O error.
 Errors go to stderr as one JSON object so callers can machine-read
 them; a usage error (a bad or missing flag) is ``{"error": "usage"}`` with
-argparse's message naming the flag.
+a message naming the flag.  ``scan``'s flag values go through the field
+checks of ``fock``, before the program is read, as in
+``argument --samples: must be >= 1, got 0``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 
 from .dynamics import PhysicsError, scan_pulse
-from .fock import QUBIT_LABELS
+from .fock import QUBIT_LABELS, FieldError, _require_finite, _require_int
 from .program import ParseError, Program, parse, serialize, step_keyword
 from .protocol import MeasureQubit, SidebandPulse, noon_fidelity, qubit_level, run_sequence
 
@@ -90,6 +92,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    try:
+        _require_finite(t_min=args.t_min, t_max=args.t_max)
+        _require_int(1, samples=args.samples)
+    except FieldError as exc:  # names the flag's dest
+        build_parser().error(f"argument --{exc.field.replace('_', '-')}: {exc.detail}")
     if args.samples == 1:
         ts = [args.t_min]
     else:
@@ -142,26 +149,6 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as one JSON line on stderr, then exits 2."""
 
@@ -191,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("program", help="pulse-program file (.pp)")
     scan.add_argument("--step", type=int, required=True,
                       help="index of the sideband-pulse step to scan")
-    scan.add_argument("--t-min", type=_finite_float, required=True, dest="t_min")
-    scan.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
-    scan.add_argument("--samples", type=_positive_int, default=200)
+    scan.add_argument("--t-min", type=float, required=True, dest="t_min")
+    scan.add_argument("--t-max", type=float, required=True, dest="t_max")
+    scan.add_argument("--samples", type=int, default=200)
     scan.add_argument("--out", default=None, help="output file (default stdout)")
     scan.set_defaults(func=cmd_scan)
     return p

@@ -25,7 +25,8 @@ and sin, so an overflowing duration or table is a ``PhysicsError`` naming
 the pulse.  ``apply_rotation`` applies a carrier pulse as one 2x2 matrix
 on the qubit axis.  These are the runtime propagators, and their cost is
 linear in the number of amplitudes.  A pulse fits its truncation by one
-rule, ``_driven_dim``: a guard band of at least k levels.
+rule, ``_driven_dim``: a guard band of at least k levels, or a
+``FieldError`` on k, as for the fit rules of ``fock``.
 
 A pulse's duration is seconds or one of the two auto markers defined here
 beside ``PulseSpec``, ``VacuumPi`` and ``SuperpositionPi``; every check
@@ -55,6 +56,7 @@ import numpy as np
 from .fock import (
     AXES,
     QUBIT_INDEX,
+    FieldError,
     HybridState,
     Truncation,
     _require_choice,
@@ -66,7 +68,11 @@ from .fock import (
 
 
 class PhysicsError(Exception):
-    """Truncation, guard-band, or measurement-branch violation."""
+    """What a run produces, not what it is given.
+
+    Guard-band leakage, a degenerate measurement branch, a coupling the
+    duration solver cannot time, or an overflowing phase or duration.
+    """
 
 
 @dataclass(frozen=True)
@@ -171,12 +177,12 @@ def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.nda
 
 
 def _driven_dim(k: int, axis: str, trunc: Truncation) -> int:
-    """Dimension of the mode ``axis``; PhysicsError unless guard >= k, the one fit rule.
+    """Dimension of the mode ``axis``; FieldError on ``k`` unless guard >= k, the one fit rule.
 
     As ``Truncation`` keeps guard <= n_max, a fitting pulse has d > k: one pair or more.
     """
     if trunc.guard < k:
-        raise PhysicsError(f"guard band {trunc.guard} too small for a k = {k} pulse")
+        raise FieldError("k", f"must be <= the guard band {trunc.guard}, got {k!r}")
     return trunc.dim_of(axis)
 
 

@@ -14,10 +14,11 @@ computed, so ``qubit_populations`` reduces nothing again.
 The three field checks of every constructor live here: ``_require_int``
 and ``_require_finite`` reject a bool or a value of another type, and a
 value below the lower bound the caller passes; ``_require_choice`` rejects
-anything that is not one of a fixed set of strings.  The two fit rules of a
-truncation live here too: a guard band no deeper than either mode
-(``Truncation``) and a Fock level within it (``_level_index``).  Each check
-raises a ``FieldError``, a ValueError naming the field, which
+anything that is not one of a fixed set of strings.  Two of the three fit
+rules live here too: a guard band no deeper than either mode
+(``Truncation``) and a Fock level within it (``_level_index``); the third,
+a pulse's k within the guard band, is ``dynamics._driven_dim``.  Each check
+and fit rule raises a ``FieldError``, a ValueError naming the field, which
 ``program.parse`` reports at the key that set it.
 """
 

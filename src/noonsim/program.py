@@ -17,9 +17,10 @@ truncation.
 where it lives: the constructors of ``Truncation`` and the steps check
 values, ``fock._level_index`` that a ``prepare`` level is in the
 truncation, and ``dynamics._driven_dim`` that a ``pulse``'s k fits the
-guard band.  Each failure is a ``ParseError`` at the key that set the
-value; a ``fock.FieldError`` is reported by the key's name, as in
-``nmax_x must be >= 1, got 0`` or ``omega must be finite, got inf``.
+guard band.  Each raises a ``fock.FieldError``, which ``parse`` reports
+as a ``ParseError`` at the key that set the value, by the key's name, as
+in ``nmax_x must be >= 1, got 0``, ``omega must be finite, got inf`` or
+``k must be <= the guard band 4, got 5``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from .fock import FieldError, Truncation, _level_index
 from .dynamics import (
-    PhysicsError,
     PulseSpec,
     RotationSpec,
     SuperpositionPi,
@@ -212,14 +212,11 @@ def parse(text: str) -> Program:
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
             if line.builds is Prepare:
                 _level_index(obj.q, obj.nx, obj.ny, trunc)
+            elif line.builds is SidebandPulse:
+                _driven_dim(obj.spec.k, obj.spec.axis, trunc)
         except FieldError as exc:  # names the attribute that one key sets
             key = next(k for k in line.keys if k.attr == exc.field)
             raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
-        if line.builds is SidebandPulse:
-            try:
-                _driven_dim(obj.spec.k, obj.spec.axis, trunc)
-            except PhysicsError as exc:
-                raise ParseError(str(exc), lineno, fields["k"][1]) from None
         if line.builds is Truncation:
             trunc, set_line = obj, lineno
         else:

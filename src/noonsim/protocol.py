@@ -316,8 +316,11 @@ def vacuum_pulse_time(g: float) -> float:
 
     Solved for the coupling g exactly.  ``build_noon8(g, ...)`` drives
     omega = 15000 g, whose coupling is only within a few ulps of g, so its
-    run may solve a duration that differs in the last bits.
+    run may solve a duration that differs in the last bits.  A g that is
+    not a finite real number is a ``FieldError``; g <= 0 is the solver's
+    ``PhysicsError``.
     """
+    _require_finite(g=g)
     return solve_duration(VacuumPi(), *closed_form_frequencies(g, 4, [0, 4]).tolist())[0]
 
 
@@ -331,8 +334,10 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     Returns (t, predicted_infidelity), solved for the coupling g exactly:
     the run of ``build_noon8(g, g, horizon)``, whose coupling is within a
     few ulps of g, may differ in the last bits (at g = 1 this gives
-    t = 481.91809868332047, the run 481.91809868332035).
+    t = 481.91809868332047, the run 481.91809868332035).  ``g`` is checked
+    as in ``vacuum_pulse_time``.
     """
+    _require_finite(g=g)
     return solve_duration(
         SuperpositionPi(horizon), *closed_form_frequencies(g, 4, [0, 4]).tolist()
     )
@@ -434,6 +439,7 @@ def run_sequence(
 
 
 DEFAULT_ETA = 0.2
+_OMEGA_PER_G = 15000.0  # 4! / DEFAULT_ETA^4, see _pulse_for_coupling
 
 
 def _pulse_for_coupling(axis: str, g: float, duration) -> PulseSpec:
@@ -441,7 +447,7 @@ def _pulse_for_coupling(axis: str, g: float, duration) -> PulseSpec:
     # back out omega = 4! / 0.2^4 * g, so that coupling_g gives g in exact
     # arithmetic.  In floats the coupling is within a few ulps of g, not
     # equal to it (1.0000000000000002 at g = 1)
-    return PulseSpec(axis, 4, DEFAULT_ETA, 15000.0 * g, duration, "closed")
+    return PulseSpec(axis, 4, DEFAULT_ETA, _OMEGA_PER_G * float(g), duration, "closed")
 
 
 def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
@@ -451,12 +457,15 @@ def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
     pi pulse on y; half rotation to (|e>+|g>)/sqrt(2); superposition pulse
     on x then y; analysis rotation; measure.  The shipped measurement
     outcome is 'e'; override at run time for the other branch.  Each
-    coupling is a finite real number > 0, or a ``FieldError`` names it.
+    coupling is a finite real number > 0 whose omega = 15000 g is finite,
+    or a ``FieldError`` names it.
     """
     _require_finite(0, g_x=g_x, g_y=g_y)
     for name, g in (("g_x", g_x), ("g_y", g_y)):
         if g <= 0:
             raise FieldError(name, f"must be > 0, got {g!r}")
+        if not math.isfinite(_OMEGA_PER_G * float(g)):
+            raise FieldError(name, f"must keep omega = {_OMEGA_PER_G!r} * g finite, got {g!r}")
     half_pi = math.pi / 2.0
     return [
         Prepare("e", 0, 0),

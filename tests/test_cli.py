@@ -19,7 +19,7 @@ GUARD_TOO_SMALL = (
 )
 GUARD_TOO_SMALL_ERROR = {
     "error": "parse",
-    "message": "line 3, col 14: guard band 4 too small for a k = 5 pulse",
+    "message": "line 3, col 14: k must be <= the guard band 4, got 5",
     "line": 3,
     "col": 14,
 }
@@ -405,25 +405,34 @@ class TestScan:
         assert code == 0
         assert len(out.strip().splitlines()) == 17
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--t-min", "-inf"),
-            ("--t-max", "inf"),
-            ("--t-max", "nan"),
-            ("--t-max", "1e999"),
-            ("--t-max", "abc"),
-            ("--samples", "0"),
-            ("--samples", "-3"),
-            ("--samples", "2.5"),
-        ],
-    )
-    def test_bad_flag_is_a_usage_error_naming_it(self, capsys, flag, value):
+    BAD_FLAGS = [
+        ("--t-min", "-inf", "must be finite, got -inf"),
+        ("--t-max", "inf", "must be finite, got inf"),
+        ("--t-max", "nan", "must be finite, got nan"),
+        ("--t-max", "1e999", "must be finite, got inf"),
+        ("--t-max", "abc", "invalid float value: 'abc'"),
+        ("--samples", "0", "must be >= 1, got 0"),
+        ("--samples", "-3", "must be >= 1, got -3"),
+        ("--samples", "2.5", "invalid int value: '2.5'"),
+    ]
+    BAD_FLAG_IDS = [f"{flag}-{value}" for flag, value, _ in BAD_FLAGS]
+
+    @staticmethod
+    def scan_argv(program, flag, value):
         argv = {"--t-min": "0", "--t-max": "0.7", "--samples": "4"}
         argv[flag] = value
-        message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",
-                              *[f"{name}={text}" for name, text in argv.items()])
-        assert message.startswith(f"argument {flag}:")
+        return ["scan", str(program), "--step", "1",
+                *[f"{name}={text}" for name, text in argv.items()]]
+
+    @pytest.mark.parametrize("flag, value, detail", BAD_FLAGS, ids=BAD_FLAG_IDS)
+    def test_bad_flag_is_a_usage_error_naming_it(self, capsys, flag, value, detail):
+        message = usage_error(capsys, *self.scan_argv(NOON8_PP, flag, value))
+        assert message == f"argument {flag}: {detail}"
+
+    def test_bad_flag_is_reported_before_the_program_is_read(self, capsys, tmp_path):
+        # a usage error (exit 2), not the missing file's I/O error (exit 4)
+        message = usage_error(capsys, *self.scan_argv(tmp_path / "nope.pp", "--samples", "0"))
+        assert message == "argument --samples: must be >= 1, got 0"
 
     def test_overflowing_grid_is_a_usage_error_naming_t_max(self, capsys):
         message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",

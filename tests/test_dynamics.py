@@ -36,7 +36,7 @@ from noonsim.dynamics import (
     guard_band_population,
     rabi_frequencies,
 )
-from noonsim.fock import QUBIT_INDEX, HybridState
+from noonsim.fock import QUBIT_INDEX, FieldError, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
 
 TRUNC = Truncation(12, 12, 4)
@@ -101,7 +101,7 @@ class TestSidebandHamiltonian:
             assert elem / eta**4 == pytest.approx(omega / math.sqrt(24), rel=5e-6)
 
     def test_guard_too_small(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(FieldError, match="^k must be <= the guard band 2, got 4$"):
             sideband_hamiltonian(closed_spec(), Truncation(12, 12, 2))
 
 
@@ -210,7 +210,7 @@ class TestClosedFormUnitary:
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-12
 
     def test_guard_violation(self):
-        with pytest.raises(PhysicsError, match="^guard band 3 too small for a k = 4 pulse$"):
+        with pytest.raises(FieldError, match="^k must be <= the guard band 3, got 4$"):
             closed_form_unitary(1.0, 0.1, Truncation(12, 12, 3), "x")
 
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -542,7 +542,7 @@ class TestPairRotationKernel:
             assert np.max(np.abs(apply_rotation(state, spec).amp - ref.amp)) <= 1e-14
 
     def test_guard_check_applies_to_the_kernel(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(FieldError, match="^k must be <= the guard band 2, got 4$"):
             apply_pulse(basis_state("e", 0, 0, Truncation(12, 12, 2)), closed_spec())
 
     @pytest.mark.parametrize("form", ["closed", "full"])
@@ -595,9 +595,10 @@ class TestScanPulse:
         ts = np.linspace(t0, t1, count)
 
         if guard < k:
-            with pytest.raises(PhysicsError) as one:
+            message = f"^k must be <= the guard band {guard}, got {k}$"
+            with pytest.raises(FieldError, match=message) as one:
                 apply_pulse(state, spec)
-            with pytest.raises(PhysicsError) as batch:
+            with pytest.raises(FieldError, match=message) as batch:
                 scan_pulse(state, spec, ts)
             assert str(batch.value) == str(one.value)
             return

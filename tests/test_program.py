@@ -237,14 +237,14 @@ class TestParseErrors:
         [
             ("set nmax_x=12 nmax_y=12 guard=4\nprepare q=e nx=0 ny=0\n"
              "pulse axis=x k=5 eta=0.2 omega=1.0 t=1.0 form=closed\n",
-             3, 14, "guard band 4 too small for a k = 5 pulse"),
+             3, 14, "k must be <= the guard band 4, got 5"),
             ("set nmax_x=9 nmax_y=6 guard=2\nprepare q=e nx=0 ny=0\n"
              "pulse axis=x k=2 eta=0.2 omega=1.0 t=1.0 form=full\n"
              "  pulse form=closed t=auto_vacuum_pi omega=1.0 eta=0.2 k=3 axis=y\n",
-             4, 56, "guard band 2 too small for a k = 3 pulse"),
+             4, 56, "k must be <= the guard band 2, got 3"),
             # without a set line, the default truncation is in force
             ("prepare q=e nx=0 ny=0\npulse axis=y k=7 eta=0.2 omega=1.0 t=1.0 form=closed\n",
-             2, 14, "guard band 4 too small for a k = 7 pulse"),
+             2, 14, "k must be <= the guard band 4, got 7"),
         ],
         ids=["set-line", "keys-reordered", "default-truncation"],
     )

@@ -45,6 +45,20 @@ TRUNC = Truncation(12, 12, 4)
 SQRT24 = math.sqrt(24.0)
 SQRT1680 = math.sqrt(1680.0)
 
+# a coupling the pulse-time helpers reject as a field, and the message
+BAD_COUPLINGS = pytest.mark.parametrize(
+    "g, message",
+    [
+        (True, "must be a real number, got True"),
+        ("1", "must be a real number, got '1'"),
+        (None, "must be a real number, got None"),
+        (1 + 0j, "must be a real number, got (1+0j)"),
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+    ],
+    ids=["bool", "str", "None", "complex", "nan", "inf"],
+)
+
 
 class TestVacuumPulseTime:
     def test_unit_coupling(self):
@@ -56,6 +70,11 @@ class TestVacuumPulseTime:
     def test_nonpositive_rejected(self):
         with pytest.raises(PhysicsError):
             vacuum_pulse_time(0.0)
+
+    @BAD_COUPLINGS
+    def test_coupling_is_a_field(self, g, message):
+        with pytest.raises(FieldError, match=f"^g {re.escape(message)}$"):
+            vacuum_pulse_time(g)
 
     def test_simulated_excited_population_vanishes(self):
         g = 0.7
@@ -97,6 +116,11 @@ class TestSuperpositionPulseTime:
             superposition_pulse_time(1.0, 1.5)
         with pytest.raises(ValueError, match="^horizon must be an integer, got True$"):
             SuperpositionPi(True)
+
+    @BAD_COUPLINGS
+    def test_coupling_is_a_field(self, g, message):
+        with pytest.raises(FieldError, match=f"^g {re.escape(message)}$"):
+            superposition_pulse_time(g, 10)
 
 
 def grid_candidates(w_vac, w_super, horizon):
@@ -552,7 +576,7 @@ class TestRunSequence:
     def test_pulse_beyond_the_guard_band_raises(self):
         # a hand-built sequence is not parsed, so the pulse's own fit check reports it
         steps = [Prepare("e", 0, 0), SidebandPulse(PulseSpec("x", 5, 0.2, 1.0, 1.0, "closed"))]
-        with pytest.raises(PhysicsError, match="^guard band 4 too small for a k = 5 pulse$"):
+        with pytest.raises(FieldError, match="^k must be <= the guard band 4, got 5$"):
             run_sequence(steps, TRUNC)
 
     def test_leakage_limit_enforced(self):
@@ -813,8 +837,10 @@ class TestBuildNoon8:
             ("1", "must be a real number, got '1'"),
             (None, "must be a real number, got None"),
             (True, "must be a real number, got True"),
+            (1e305, "must keep omega = 15000.0 * g finite, got 1e+305"),
         ],
-        ids=["zero", "negative-zero", "negative", "nan", "inf", "str", "None", "bool"],
+        ids=["zero", "negative-zero", "negative", "nan", "inf", "str", "None", "bool",
+             "overflowing"],
     )
     def test_positive_couplings_required(self, g, message):
         for name, args in (("g_x", (g, 1.0)), ("g_y", (1.0, g))):
