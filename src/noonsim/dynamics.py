@@ -398,19 +398,22 @@ def scan_pulse(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p_g, p_e, leakage) after the pulse for each of ``durations``, a 1-D sequence.
 
-    ``spec.duration`` is ignored.  Equal, bit for bit, to ``apply_pulse``
-    of each duration followed by ``qubit_populations``: the frequency table
+    Each duration is checked as ``PulseSpec`` checks its own, by
+    ``_require_finite``, before any is converted.  ``spec.duration`` is
+    ignored.  Equal, bit for bit, to ``apply_pulse`` of each duration
+    followed by ``qubit_populations``: the frequency table
     is built once, and the samples go through ``_rotate_pairs`` in chunks
     of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
     ``HybridState`` checks its own, by ``check_normalized``, whose
     populations are the rows' p_g and p_e, and with the leakage from the
     same ``_guard_sum``.
     """
+    shape = np.shape(durations)
+    if len(shape) != 1:
+        raise ValueError(f"durations must be a 1-D sequence, got shape {shape}")
+    for t in durations:
+        _require_finite(duration=t)
     ts = np.asarray(durations, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"durations must be a 1-D sequence, got shape {ts.shape}")
-    if not np.isfinite(ts).all():
-        _require_finite(duration=float(ts[~np.isfinite(ts)][0]))
     freq = rabi_frequencies(spec, state.trunc)
     chunk = max(1, _CHUNK_AMPLITUDES // state.amp.size)
     p_g, p_e, leakage = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))

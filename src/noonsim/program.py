@@ -13,14 +13,18 @@ canonical (fixed key order, repr floats), and parse(serialize(p)) == p for
 every valid program.  A program is valid only where it fits its
 truncation.
 
-``parse`` checks only syntax.  Each value and fit rule is checked once,
-where it lives: the constructors of ``Truncation`` and the steps check
-values, ``fock._level_index`` that a ``prepare`` level is in the
-truncation, and ``dynamics._driven_dim`` that a ``pulse``'s k fits the
-guard band.  Each raises a ``fock.FieldError``, which ``parse`` reports
-as a ``ParseError`` at the key that set the value, by the key's name, as
-in ``nmax_x must be >= 1, got 0``, ``omega must be finite, got inf`` or
-``k must be <= the guard band 4, got 5``.
+``parse`` checks only syntax and where the ``set`` line stands.  Each
+value is checked once, by the constructors of ``Truncation`` and the
+steps, and each step by one rule, ``protocol._check_step``, which
+``Program`` and ``run_sequence`` run too: a step of a known type, a
+``prepare`` first and nowhere else, and a fit to the truncation
+(``fock._level_index`` for a ``prepare`` level, ``dynamics._driven_dim``
+for a ``pulse``'s k).  A value or fit error is a ``fock.FieldError``,
+which ``parse`` reports as a ``ParseError`` at the key that set the
+value, by the key's name, as in ``nmax_x must be >= 1, got 0``,
+``omega must be finite, got inf`` or ``k must be <= the guard band 4,
+got 5``; a step out of place is reported at its keyword, after the
+line's values are read.
 """
 
 from __future__ import annotations
@@ -30,15 +34,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .fock import FieldError, Truncation, _level_index
-from .dynamics import (
-    PulseSpec,
-    RotationSpec,
-    SuperpositionPi,
-    VacuumPi,
-    _driven_dim,
-)
-from .protocol import MeasureQubit, Prepare, Rotate, SidebandPulse, Step
+from .fock import FieldError, Truncation
+from .dynamics import PulseSpec, RotationSpec, SuperpositionPi, VacuumPi
+from .protocol import MeasureQubit, Prepare, Rotate, SidebandPulse, Step, _check_step
 
 
 class ParseError(Exception):
@@ -52,15 +50,19 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class Program:
-    """Parsed pulse program: truncation config plus ordered steps."""
+    """Parsed pulse program: truncation config plus ordered steps.
+
+    Each step is checked as ``parse`` checks its line, by
+    ``protocol._check_step``, so a program that builds serializes to text
+    that parses back to it.
+    """
 
     trunc: Truncation = field(default_factory=Truncation)
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
-        prepares = [i for i, s in enumerate(self.steps) if isinstance(s, Prepare)]
-        if self.steps and prepares != [0]:
-            raise ValueError("a non-empty program needs exactly one Prepare, first")
+        for index, step in enumerate(self.steps):
+            _check_step(index, step, self.trunc)
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -129,7 +131,6 @@ class _Line(NamedTuple):
     builds: type  # a Step class, or Truncation for a config line
     spec: type | None  # for a step that wraps a spec: the class the keys fill
     keys: tuple[_Key, ...]  # canonical order
-    first_only: str | None = None  # error message if the line follows a step
 
 
 _FORMAT: dict[str, _Line] = {
@@ -137,12 +138,12 @@ _FORMAT: dict[str, _Line] = {
         _Key("nmax_x", "n_max_x", _parse_int, str),
         _Key("nmax_y", "n_max_y", _parse_int, str),
         _Key("guard", "guard", _parse_int, str),
-    ), "config lines must precede steps"),
+    )),
     "prepare": _Line(Prepare, None, (
         _Key("q", "q", str, str),
         _Key("nx", "nx", _parse_int, str),
         _Key("ny", "ny", _parse_int, str),
-    ), "prepare may only appear first"),
+    )),
     "pulse": _Line(SidebandPulse, PulseSpec, (
         _Key("axis", "axis", str, str),
         _Key("k", "k", _parse_int, str),
@@ -194,12 +195,10 @@ def parse(text: str) -> Program:
         line = _FORMAT.get(keyword)
         if line is None:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
-        if steps and line.first_only:
-            raise ParseError(line.first_only, lineno, kw_col)
+        if line.builds is Truncation and steps:
+            raise ParseError("config lines must precede steps", lineno, kw_col)
         if line.builds is Truncation and set_line is not None:
             raise ParseError(f"the truncation is already set on line {set_line}", lineno, kw_col)
-        if not steps and line.builds not in (Truncation, Prepare):
-            raise ParseError("the first step must be a prepare", lineno, kw_col)
         fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
         values = {}
         for key in line.keys:
@@ -210,13 +209,13 @@ def parse(text: str) -> Program:
                 raise ParseError(str(exc), lineno, col) from None
         try:
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
-            if line.builds is Prepare:
-                _level_index(obj.q, obj.nx, obj.ny, trunc)
-            elif line.builds is SidebandPulse:
-                _driven_dim(obj.spec.k, obj.spec.axis, trunc)
+            if line.builds is not Truncation:
+                _check_step(len(steps), obj, trunc)
         except FieldError as exc:  # names the attribute that one key sets
             key = next(k for k in line.keys if k.attr == exc.field)
             raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
+        except ValueError as exc:  # the step may not stand here
+            raise ParseError(str(exc), lineno, kw_col) from None
         if line.builds is Truncation:
             trunc, set_line = obj, lineno
         else:

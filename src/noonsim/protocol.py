@@ -16,6 +16,11 @@ durations matter:
 
 The two markers, ``VacuumPi`` and ``SuperpositionPi``, live with
 ``PulseSpec`` in ``dynamics``; this module solves them.
+
+One rule says which sequences are well formed, ``_check_step``: each
+step is one of the four ``Step`` types, a ``Prepare`` stands first and
+nowhere else, and each step fits the truncation.  ``run_sequence``,
+``program.Program`` and ``program.parse`` all check each step by it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .fock import QUBIT_INDEX, QUBIT_LABELS, HybridState, Truncation, basis_state
-from .fock import FieldError, _require_choice, _require_finite, _require_int
+from .fock import FieldError, _level_index, _require_choice, _require_finite, _require_int
 from .dynamics import (
     PhysicsError,
     PulseSpec,
@@ -37,6 +42,7 @@ from .dynamics import (
     SuperpositionPi,
     VacuumPi,
     _AutoDuration,
+    _driven_dim,
     apply_pulse,
     apply_rotation,
     closed_form_frequencies,
@@ -77,6 +83,25 @@ class MeasureQubit:
 
 
 Step = Union[Prepare, SidebandPulse, Rotate, MeasureQubit]
+
+
+def _check_step(index: int, step, trunc: Truncation) -> None:
+    """ValueError unless ``step`` is a ``Step`` that may stand at ``index`` and fits ``trunc``.
+
+    A ``Prepare`` stands at index 0 and nowhere else.  The fit is checked
+    where its rules live, ``fock._level_index`` for a prepared level and
+    ``dynamics._driven_dim`` for a pulse's k, and their ``FieldError``
+    names the field.
+    """
+    if not isinstance(step, Step.__args__):  # isinstance of the Union itself costs 4x more
+        raise ValueError(f"unknown step {step!r}")
+    if isinstance(step, Prepare) != (index == 0):
+        raise ValueError("prepare may only appear first" if index
+                         else "the first step must be a prepare")
+    if isinstance(step, Prepare):
+        _level_index(step.q, step.nx, step.ny, trunc)
+    elif isinstance(step, SidebandPulse):
+        _driven_dim(step.spec.k, step.spec.axis, trunc)
 
 
 @dataclass(frozen=True)
@@ -394,22 +419,24 @@ def run_sequence(
     'e'.  Every record keeps its state.  Leakage above ``leakage_limit``
     raises; pass ``math.inf`` to disable the check.  Any other limit that
     is not a finite real number >= 0 is a ``FieldError``.
+
+    Every step is checked by ``_check_step`` before the first state is
+    built, so a step that is unknown, out of place or does not fit raises
+    before any step runs.  An empty sequence runs to no records.
     """
     if outcome_override is not None:
         _require_choice(QUBIT_LABELS, outcome_override=outcome_override)
     if leakage_limit != math.inf:
         _require_finite(0, leakage_limit=leakage_limit)
-    if not steps or not isinstance(steps[0], Prepare):
-        raise ValueError("a sequence must start with a Prepare step")
-    if any(isinstance(s, Prepare) for s in steps[1:]):
-        raise ValueError("Prepare may only appear as the first step")
+    for i, step in enumerate(steps):
+        _check_step(i, step, trunc)
 
-    state = basis_state(steps[0].q, steps[0].nx, steps[0].ny, trunc)
-    records = [StepRecord(0, state, 0.0)]
-    tables = {}
-
-    for i, step in enumerate(steps[1:], start=1):
-        if isinstance(step, SidebandPulse):
+    records, tables = [], {}
+    for i, step in enumerate(steps):
+        if isinstance(step, Prepare):
+            state = basis_state(step.q, step.nx, step.ny, trunc)
+            rec = StepRecord(i, state, 0.0)
+        elif isinstance(step, SidebandPulse):
             spec = step.spec
             key = (spec.axis, spec.k, spec.eta, spec.omega, spec.form)
             freq = tables.get(key)
@@ -427,12 +454,10 @@ def run_sequence(
         elif isinstance(step, Rotate):
             state = apply_rotation(state, step.spec)
             rec = StepRecord(i, state, 0.0)
-        elif isinstance(step, MeasureQubit):
+        else:  # a MeasureQubit, the one step type left
             outcome = outcome_override or step.outcome
             state, prob = _measure(state, outcome)
             rec = StepRecord(i, state, 0.0, outcome=outcome, probability=prob)
-        else:
-            raise ValueError(f"unknown step {step!r}")
         records.append(rec)
 
     return RunResult(tuple(records))

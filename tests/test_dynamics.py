@@ -623,6 +623,15 @@ class TestScanPulse:
         with pytest.raises(ValueError, match="duration must be finite"):
             scan_pulse(basis_state("e", 0, 0, TRUNC), closed_spec(), [0.1, value, 0.2])
 
+    @pytest.mark.parametrize("value", [True, "0.1", None, "a", 1 + 1j])
+    def test_duration_that_is_not_a_real_number(self, value):
+        # rejected as PulseSpec rejects it, also next to a float that numpy would coerce it to
+        with pytest.raises(FieldError) as spec:
+            closed_spec(t=value)
+        with pytest.raises(FieldError) as scan:
+            scan_pulse(basis_state("e", 0, 0, TRUNC), closed_spec(), [0.1, value])
+        assert str(scan.value) == str(spec.value) == f"duration must be a real number, got {value!r}"
+
     @pytest.mark.parametrize(
         "durations, shape", [(0.1, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)")], ids=["scalar", "2-D"]
     )

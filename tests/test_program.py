@@ -19,6 +19,7 @@ from noonsim import (
     parse,
     serialize,
 )
+from noonsim.fock import FieldError
 from noonsim.program import step_keyword
 from conftest import random_program
 
@@ -359,7 +360,14 @@ class TestProgramInvariants:
         assert parse(serialize(program)) == program
 
     def test_prepare_must_lead(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the first step must be a prepare$"):
             Program(Truncation(), (MeasureQubit("e"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^prepare may only appear first$"):
             Program(Truncation(), (Prepare("e", 0, 0), Prepare("g", 0, 0)))
+        # each would serialize to a program that parse rejects, or not serialize at all
+        with pytest.raises(FieldError, match="^nx must be <= 8, got 9$"):
+            Program(Truncation(8, 8, 2), (Prepare("e", 9, 0),))
+        with pytest.raises(FieldError, match="^k must be <= the guard band 2, got 4$"):
+            Program(Truncation(8, 8, 2), (Prepare("e", 0, 0), *build_noon8(1.0, 1.0)[1:]))
+        with pytest.raises(ValueError, match="^unknown step 'measure q=e'$"):
+            Program(Truncation(), (Prepare("e", 0, 0), "measure q=e"))

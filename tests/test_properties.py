@@ -194,6 +194,22 @@ class TestPrograms:
     def test_parse_of_serialize_is_the_program(self, program):
         assert parse(serialize(program)) == program
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_program_that_builds_round_trips(self, data):
+        # levels and k's drawn without the fit constraint: Program rejects what parse would
+        trunc = data.draw(truncations())
+        steps = [Prepare("e", data.draw(st.integers(0, 16), label="nx"),
+                         data.draw(st.integers(0, 16), label="ny"))]
+        for axis, k in data.draw(st.lists(st.tuples(st.sampled_from("xy"), st.integers(1, 16)),
+                                          max_size=3), label="pulses"):
+            steps.append(SidebandPulse(PulseSpec(axis, k, 0.2, 1.0, 0.1)))
+        try:
+            program = Program(trunc, tuple(steps))
+        except ValueError:
+            return
+        assert parse(serialize(program)) == program
+
     @settings(max_examples=25, deadline=None)
     @given(program=programs())
     def test_two_runs_give_bit_identical_records(self, program):

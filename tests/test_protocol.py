@@ -529,11 +529,24 @@ class TestRunSequence:
         assert result.final_state.population("e", 0, 0) == pytest.approx(1.0)
         assert result.measurements == []
 
-    def test_prepare_must_be_first(self):
-        with pytest.raises(ValueError):
+    def test_prepare_must_be_first(self, monkeypatch):
+        with pytest.raises(ValueError, match="^the first step must be a prepare$"):
             run_sequence([Rotate(RotationSpec(1.0, 0.0))], TRUNC)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^prepare may only appear first$"):
             run_sequence([Prepare("e", 0, 0), Prepare("g", 0, 0)], TRUNC)
+        # every step is checked before the first is run: step 5 does not fit, and no pulse runs
+        applied = []
+        monkeypatch.setattr("noonsim.protocol.apply_pulse",
+                            lambda *args: applied.append(args) or apply_pulse(*args))
+        steps = build_noon8(1.0, 1.0)
+        steps[5] = SidebandPulse(PulseSpec("x", 6, 0.2, 1.0, 0.1))
+        with pytest.raises(FieldError, match="^k must be <= the guard band 4, got 6$"):
+            run_sequence(steps, TRUNC)
+        assert applied == []
+        run_sequence(build_noon8(1.0, 1.0), TRUNC)
+        assert len(applied) == 4
+        # an empty sequence has no step out of place, and runs to no records
+        assert run_sequence([], TRUNC).steps == ()
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="^unknown step 'measure q=e'$"):
