@@ -11,9 +11,10 @@ The package is organized in four layers:
   (|e,n>, |g,n+k>), with the closed and full forms differing only in their
   table of Rabi frequencies, which one function builds per pulse.  A pulse
   enters the kernel through ``apply_pulse``, or a whole duration scan at
-  once through ``scan_pulse``, and a carrier pulse is one 2x2 matrix on the
-  qubit axis.  A pulse's duration is seconds or an auto marker
-  (``VacuumPi``, ``SuperpositionPi``), defined beside ``PulseSpec``.  The
+  once through ``scan_pulse``, and a carrier rotation is the same kernel at
+  k = 0, on the pairs (|e,n>, |g,n>), through ``apply_rotation``.  A
+  pulse's duration is seconds or an auto marker (``VacuumPi``,
+  ``SuperpositionPi``), defined beside ``PulseSpec``.  The
   dense builders (sideband Hamiltonian, closed-form four-phonon unitary,
   eigendecomposition matrix exponential, dense carrier rotation) are kept
   as reference oracles for tests.

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -182,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--t-max", type=float, required=True, dest="t_max")
     scan.add_argument("--samples", type=int, default=200)
     scan.add_argument("--out", default=None, help="output file (default stdout)")
+    # read an argument that starts like a negative number (-5e-1, -1E3, -inf) as a value:
+    # argparse's own pattern matches only -1 and -.5, and takes -5e-1 for an unknown option
+    scan._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
     scan.set_defaults(func=cmd_scan)
     return p
 

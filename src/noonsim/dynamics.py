@@ -10,23 +10,29 @@ g_k = Omega * eta^k / k!.  Either way the Hamiltonian only couples the pairs
 (|e, n>, |g, n+k>) of the driven mode, so e^{-iHt} is a direct sum of 2x2
 rotations: cos(Omega_n t) on the diagonal, -i sin(Omega_n t) off it.  The
 two pulse forms differ only in their table of frequencies Omega_n, and one
-function, ``rabi_frequencies``, builds a pulse's table.  One kernel,
-``_rotate_pairs``, applies the rotations directly to the (2, dx, dy)
-amplitude tensor for a batch of S durations at once, giving
-(S, 2, dx, dy).  ``apply_pulse`` is its batch of one, from a table it
-builds or one the caller already built (the protocol engine solves auto
+function, ``rabi_frequencies``, builds a pulse's table.  The carrier
+rotation R(theta, phi) is the k = 0 case: the same rotation by theta/2 on
+every pair (|e, n>, |g, n>), with the laser phase phi on the off-diagonal
+(Wineland et al., J. Res. NIST 103, 259 (1998)); the model leaves out the
+carrier's Debye-Waller factor, which would make the angle depend on n.
+
+One kernel, ``_rotate_pairs``, applies every step's rotations directly to
+the (2, dx, dy) amplitude tensor, for a table of S rows of angles at once,
+giving (S, 2, dx, dy).  ``apply_rotation`` is its k = 0 row of theta/2.
+A sideband pulse enters it through ``_rotate_pulse``, with the angles
+Omega_n t of S durations, which it checks before the kernel takes cos and
+sin, so an overflowing duration or table is a ``PhysicsError`` naming the
+pulse.  ``apply_pulse`` is a batch of one duration, from a table it builds
+or one the caller already built (the protocol engine solves auto
 durations from the same table); ``scan_pulse`` builds the table once and
 sends a duration scan through it in chunks of about 2^14 amplitudes,
 returning only the qubit populations and leakage of each sample.  Both
 take the qubit populations from the norm check, ``check_normalized``, and
 the leakage from one sum, ``_guard_sum``, that squares only the guard
-band.  The kernel checks its table of phases Omega_n t before taking cos
-and sin, so an overflowing duration or table is a ``PhysicsError`` naming
-the pulse.  ``apply_rotation`` applies a carrier pulse as one 2x2 matrix
-on the qubit axis.  These are the runtime propagators, and their cost is
-linear in the number of amplitudes.  A pulse fits its truncation by one
-rule, ``_driven_dim``: a guard band of at least k levels, or a
-``FieldError`` on k, as for the fit rules of ``fock``.
+band.  These are the runtime propagators, and their cost is linear in the
+number of amplitudes.  A pulse fits its truncation by one rule,
+``_driven_dim``: a guard band of at least k levels, or a ``FieldError`` on
+k, as for the fit rules of ``fock``.
 
 A pulse's duration is seconds or one of the two auto markers defined here
 beside ``PulseSpec``, ``VacuumPi`` and ``SuperpositionPi``; every check
@@ -37,8 +43,11 @@ The dense dim x dim builders -- ``sideband_hamiltonian``,
 ``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
 ``carrier_rotation`` and ``apply_operator`` -- are reference oracles that
 tests compare the runtime propagators against; nothing on the runtime path
-builds them.  The three that build an operator lift it from the qubit and
-one mode to the full space through one function, ``_embed_qubit_axis``.
+builds them.  The two that build a sideband operator lift it from the
+qubit and one mode to the full space through one function,
+``_embed_qubit_axis``; ``carrier_rotation`` is the Pauli-matrix
+``_qubit_rotation`` times the identity on both modes, so it shares no
+arithmetic with the kernel it checks.
 
 Phase convention: the sideband coupling is taken real.  The i^k phase of
 the plane-wave expansion is a global gauge on each pulse and is dropped;
@@ -48,6 +57,7 @@ Laguerre factor, and so Omega_n, changes sign.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -166,14 +176,9 @@ def _embed_qubit_axis(block: np.ndarray, axis: str, trunc: Truncation) -> np.nda
     ``block`` is indexed (q * d + n) with d the driven-mode dimension.
     """
     d = trunc.dim_of(axis)
-    b4 = block.reshape(2, d, 2, d)
-    if axis == "x":
-        iy = np.eye(trunc.dim_y, dtype=complex)
-        full = np.einsum("qapb,yw->qaypbw", b4, iy)
-    else:
-        ix = np.eye(trunc.dim_x, dtype=complex)
-        full = np.einsum("qapb,xw->qxapwb", b4, ix)
-    return full.reshape(trunc.dim, trunc.dim)
+    other = np.eye(trunc.dim_y if axis == "x" else trunc.dim_x, dtype=complex)
+    subscripts = "qapb,yw->qaypbw" if axis == "x" else "qapb,xw->qxapwb"
+    return np.einsum(subscripts, block.reshape(2, d, 2, d), other).reshape(trunc.dim, trunc.dim)
 
 
 def _driven_dim(k: int, axis: str, trunc: Truncation) -> int:
@@ -287,32 +292,31 @@ def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def _qubit_rotation(spec: RotationSpec) -> np.ndarray:
-    """R(theta, phi) = exp(-i (theta/2) (cos phi sigma_x + sin phi sigma_y)).
+    """R(theta, phi) = cos(theta/2) 1 - i sin(theta/2) (cos phi sigma_x + sin phi sigma_y).
 
-    A 2x2 matrix in the (g, e) ordering of the qubit index.  R(pi/2, -pi/2)
-    maps |e> -> (|e> + |g>)/sqrt(2) and |g> -> (-|e> + |g>)/sqrt(2).
+    A 2x2 matrix in the (g, e) ordering of the qubit index, where
+    cos phi sigma_x + sin phi sigma_y = [[0, e^{-i phi}], [e^{i phi}, 0]].
+    R(pi/2, -pi/2) maps |e> -> (|e> + |g>)/sqrt(2) and
+    |g> -> (-|e> + |g>)/sqrt(2).
     """
-    c = math.cos(spec.theta / 2.0)
-    s = math.sin(spec.theta / 2.0)
-    # -i (cos(phi) sigma_x + sin(phi) sigma_y), basis (|g>, |e>)
-    off_ge = -1j * (math.cos(spec.phi) - 1j * math.sin(spec.phi))
-    off_eg = -1j * (math.cos(spec.phi) + 1j * math.sin(spec.phi))
-    return np.array([[c, s * off_ge], [s * off_eg, c]], dtype=complex)
+    sigma = np.array([[0, cmath.exp(-1j * spec.phi)], [cmath.exp(1j * spec.phi), 0]])
+    return math.cos(spec.theta / 2.0) * np.eye(2) - 1j * math.sin(spec.theta / 2.0) * sigma
 
 
 def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
     """Dense on-resonance qubit rotation, identity on both modes.
 
-    Reference form of ``apply_rotation``, built from the same 2x2 matrix.
+    Reference form of ``apply_rotation``: the 2x2 matrix ``_qubit_rotation``,
+    written from the Pauli matrices, times the identity on the modes, and so
+    independent of the pair kernel that ``apply_rotation`` runs.
     """
-    block = np.kron(_qubit_rotation(spec), np.eye(trunc.dim_x, dtype=complex))
-    return _embed_qubit_axis(block, "x", trunc)
+    return np.kron(_qubit_rotation(spec), np.eye(trunc.dim_x * trunc.dim_y))
 
 
 def apply_rotation(state: HybridState, spec: RotationSpec) -> HybridState:
-    """Apply the carrier rotation R(theta, phi) to the qubit axis."""
-    amp = np.einsum("pq,qxy->pxy", _qubit_rotation(spec), state.amp)
-    return HybridState(amp, state.trunc)
+    """Apply the carrier rotation R(theta, phi): the k = 0 pair rotation by theta / 2 on every pair."""
+    angles = np.full((1, state.trunc.dim_x), spec.theta / 2.0)
+    return HybridState(_rotate_pairs(state.amp, "x", 0, angles, spec.phi)[0], state.trunc)
 
 
 def apply_operator(u: np.ndarray, state: HybridState) -> HybridState:
@@ -343,35 +347,47 @@ def _guard_sum(amp: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
 _CHUNK_AMPLITUDES = 2**14
 
 
-def _rotate_pairs(amp: np.ndarray, spec: PulseSpec, freq: np.ndarray,
+def _rotate_pulse(state: HybridState, spec: PulseSpec, freq: np.ndarray,
                   ts: np.ndarray) -> np.ndarray:
-    """Rotate every pair (|e, n>, |g, n+k>) of the driven mode by freq[n] * t, for each t.
+    """The (S, 2, dx, dy) amplitudes after the sideband pulse, for each of S durations ``ts``.
 
-    ``amp`` is one (2, dx, dy) tensor, ``freq`` the pulse's table
-    (``rabi_frequencies``), of which the d - k pairs inside the mode use the
-    head, and ``ts`` a 1-D array of S durations; the result is
-    (S, 2, dx, dy).  The pair is mapped by [[cos, -i sin], [-i sin, cos]].
+    ``freq`` is the pulse's table (``rabi_frequencies``), of which the d - k
+    pairs inside the driven mode use the head: the kernel rotates pair n by
+    the angle freq[n] * t at phi = 0.  An angle that is not finite is a
+    ``PhysicsError`` naming the pulse, raised before the kernel runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = freq[: state.trunc.dim_of(spec.axis) - spec.k] * ts[:, None]
+    if not np.isfinite(phase).all():
+        i, n = np.argwhere(~np.isfinite(phase))[0].tolist()
+        raise PhysicsError(f"pulse axis={spec.axis} k={spec.k}: phase Omega_n t = "
+                           f"{float(phase[i, n])!r} is not finite at n = {n}, t = {float(ts[i])!r}")
+    return _rotate_pairs(state.amp, spec.axis, spec.k, phase)
+
+
+def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
+                  phi: float = 0.0) -> np.ndarray:
+    """Rotate each pair (|e, n>, |g, n+k>) of the mode ``axis`` by angles[:, n], for each row.
+
+    ``amp`` is one (2, dx, dy) tensor and ``angles`` an (S, m) table, k >= 0
+    and m <= d - k; the result is (S, 2, dx, dy).  With a = angles[s, n],
+    the pair (e, g) is mapped by [[cos a, -i e^{i phi} sin a],
+    [-i e^{-i phi} sin a, cos a]]: a sideband pulse with a = Omega_n t and
+    phi = 0, and at k = 0 the carrier R(theta, phi) with a = theta / 2.
     Amplitudes without a partner inside the mode (|e, n> with n + k above
     the cutoff, |g, n> with n < k) are left fixed, as in
     ``closed_form_unitary``.
     """
-    freq = freq[: amp.shape[1 if spec.axis == "x" else 2] - spec.k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = freq * ts[:, None]
-    if not np.isfinite(phase).all():
-        i, n = np.argwhere(~np.isfinite(phase))[0].tolist()
-        raise PhysicsError(
-            f"pulse axis={spec.axis} k={spec.k}: phase Omega_n t = {float(phase[i, n])!r} "
-            f"is not finite at n = {n}, t = {float(ts[i])!r}"
-        )
-    e_idx, g_idx, k, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], spec.k, len(freq)
-    c, s = np.cos(phase)[..., None], -1j * np.sin(phase)[..., None]
-    out = np.repeat(amp[None], len(ts), axis=0)
+    e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], angles.shape[1]
+    c, s, w = np.cos(angles)[..., None], -1j * np.sin(angles)[..., None], cmath.exp(1j * phi)
+    # at phi = 0, as for every sideband pulse, the block is [[c, -is], [-is, c]] as it stands
+    s_eg, s_ge = (s * w, s * w.conjugate()) if phi else (s, s)
+    out = np.repeat(amp[None], len(angles), axis=0)
     # bring the driven mode next to the qubit; swapaxes gives views, so writes to o land in out
-    a, o = (amp, out) if spec.axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(2, 3))
+    a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(2, 3))
     e, g = a[e_idx, :m], a[g_idx, k : k + m]
-    o[:, e_idx, :m] = c * e + s * g
-    o[:, g_idx, k : k + m] = s * e + c * g
+    o[:, e_idx, :m] = c * e + s_eg * g
+    o[:, g_idx, k : k + m] = s_ge * e + c * g
     return out
 
 
@@ -388,7 +404,7 @@ def apply_pulse(
         raise ValueError(f"apply_pulse needs seconds; solve the marker {spec.duration!r} first")
     if freq is None:
         freq = rabi_frequencies(spec, state.trunc)
-    amp = _rotate_pairs(state.amp, spec, freq, np.array([float(spec.duration)]))
+    amp = _rotate_pulse(state, spec, freq, np.array([float(spec.duration)]))
     out = HybridState(amp[0], state.trunc)
     return out, guard_band_population(out, spec.axis)
 
@@ -402,7 +418,7 @@ def scan_pulse(
     ``_require_finite``, before any is converted.  ``spec.duration`` is
     ignored.  Equal, bit for bit, to ``apply_pulse`` of each duration
     followed by ``qubit_populations``: the frequency table
-    is built once, and the samples go through ``_rotate_pairs`` in chunks
+    is built once, and the samples go through ``_rotate_pulse`` in chunks
     of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
     ``HybridState`` checks its own, by ``check_normalized``, whose
     populations are the rows' p_g and p_e, and with the leakage from the
@@ -419,7 +435,7 @@ def scan_pulse(
     p_g, p_e, leakage = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
     for start in range(0, len(ts), chunk):
         rows = slice(start, start + chunk)
-        amp = _rotate_pairs(state.amp, spec, freq, ts[rows])
+        amp = _rotate_pulse(state, spec, freq, ts[rows])
         pops = check_normalized(amp)
         p_g[rows], p_e[rows] = pops[:, 0], pops[:, 1]
         leakage[rows] = _guard_sum(amp, spec.axis, state.trunc)

@@ -15,16 +15,18 @@ truncation.
 
 ``parse`` checks only syntax and where the ``set`` line stands.  Each
 value is checked once, by the constructors of ``Truncation`` and the
-steps, and each step by one rule, ``protocol._check_step``, which
-``Program`` and ``run_sequence`` run too: a step of a known type, a
-``prepare`` first and nowhere else, and a fit to the truncation
-(``fock._level_index`` for a ``prepare`` level, ``dynamics._driven_dim``
-for a ``pulse``'s k).  A value or fit error is a ``fock.FieldError``,
-which ``parse`` reports as a ``ParseError`` at the key that set the
-value, by the key's name, as in ``nmax_x must be >= 1, got 0``,
-``omega must be finite, got inf`` or ``k must be <= the guard band 4,
-got 5``; a step out of place is reported at its keyword, after the
-line's values are read.
+steps, and each step once, by the ``Program`` that ``parse`` builds from
+all of them, with one rule, ``protocol._check_step``, which
+``run_sequence`` runs too: a step of a known type, a ``prepare`` first
+and nowhere else, and a fit to the truncation (``fock._level_index`` for
+a ``prepare`` level, ``dynamics._driven_dim`` for a ``pulse``'s k).  A
+value or fit error is a ``fock.FieldError``, which ``parse`` reports as a
+``ParseError`` at the key that set the value, by the key's name, as in
+``nmax_x must be >= 1, got 0``, ``omega must be finite, got inf`` or
+``k must be <= the guard band 4, got 5``; a step out of place is reported
+at its keyword.  A line's syntax and values are read before any step is
+placed or fitted, so of several errors the first of a line's syntax or
+value is reported before any step's place or fit.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class ParseError(Exception):
 class Program:
     """Parsed pulse program: truncation config plus ordered steps.
 
-    Each step is checked as ``parse`` checks its line, by
-    ``protocol._check_step``, so a program that builds serializes to text
-    that parses back to it.
+    Each step is checked by ``protocol._check_step``, and this is the one
+    check ``parse`` makes of a step, so a program that builds serializes
+    to text that parses back to it.  The error of a step that fails
+    carries its index as ``_step_index``, for ``parse`` to report its line.
     """
 
     trunc: Truncation = field(default_factory=Truncation)
@@ -62,7 +65,11 @@ class Program:
 
     def __post_init__(self):
         for index, step in enumerate(self.steps):
-            _check_step(index, step, self.trunc)
+            try:
+                _check_step(index, step, self.trunc)
+            except ValueError as exc:
+                exc._step_index = index
+                raise
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -186,42 +193,42 @@ def parse(text: str) -> Program:
     """Parse pulse-program text; raises ParseError with line/column."""
     trunc = Truncation()
     set_line = None
-    steps: list[Step] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
-        if not tokens:
-            continue
-        keyword, kw_col = tokens[0]
-        line = _FORMAT.get(keyword)
-        if line is None:
-            raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
-        if line.builds is Truncation and steps:
-            raise ParseError("config lines must precede steps", lineno, kw_col)
-        if line.builds is Truncation and set_line is not None:
-            raise ParseError(f"the truncation is already set on line {set_line}", lineno, kw_col)
-        fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
-        values = {}
-        for key in line.keys:
-            value, col = fields[key.name]
-            try:
-                values[key.attr] = key.parse(value)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, col) from None
-        try:
+    steps = []  # (step, line, fields, lineno, kw_col) of each step line
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = [(m[0], m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
+            if not tokens:
+                continue
+            keyword, kw_col = tokens[0]
+            line = _FORMAT.get(keyword)
+            if line is None:
+                raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+            if line.builds is Truncation and steps:
+                raise ParseError("config lines must precede steps", lineno, kw_col)
+            if line.builds is Truncation and set_line is not None:
+                raise ParseError(f"the truncation is already set on line {set_line}",
+                                 lineno, kw_col)
+            fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
+            values = {}
+            for key in line.keys:
+                value, col = fields[key.name]
+                try:
+                    values[key.attr] = key.parse(value)
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno, col) from None
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
-            if line.builds is not Truncation:
-                _check_step(len(steps), obj, trunc)
-        except FieldError as exc:  # names the attribute that one key sets
+            if line.builds is Truncation:
+                trunc, set_line = obj, lineno
+            else:
+                steps.append((obj, line, fields, lineno, kw_col))
+        return Program(trunc, tuple(step for step, *_ in steps))
+    except ValueError as exc:  # a constructor's, on the line being read, or Program's check
+        if hasattr(exc, "_step_index"):  # of the step it names: report at that step's line
+            _, line, fields, lineno, kw_col = steps[exc._step_index]
+        if isinstance(exc, FieldError):  # names the attribute that one key sets
             key = next(k for k in line.keys if k.attr == exc.field)
             raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
-        except ValueError as exc:  # the step may not stand here
-            raise ParseError(str(exc), lineno, kw_col) from None
-        if line.builds is Truncation:
-            trunc, set_line = obj, lineno
-        else:
-            steps.append(obj)
-
-    return Program(trunc, tuple(steps))
+        raise ParseError(str(exc), lineno, kw_col) from None  # the step may not stand here
 
 
 def step_keyword(step) -> str:

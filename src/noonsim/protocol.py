@@ -19,8 +19,9 @@ The two markers, ``VacuumPi`` and ``SuperpositionPi``, live with
 
 One rule says which sequences are well formed, ``_check_step``: each
 step is one of the four ``Step`` types, a ``Prepare`` stands first and
-nowhere else, and each step fits the truncation.  ``run_sequence``,
-``program.Program`` and ``program.parse`` all check each step by it.
+nowhere else, and each step fits the truncation.  ``run_sequence`` and
+``program.Program`` check each step by it, and ``program.parse`` through
+the ``Program`` it builds.
 """
 
 from __future__ import annotations

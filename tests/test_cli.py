@@ -434,6 +434,19 @@ class TestScan:
         message = usage_error(capsys, *self.scan_argv(tmp_path / "nope.pp", "--samples", "0"))
         assert message == "argument --samples: must be >= 1, got 0"
 
+    @pytest.mark.parametrize("t_min", ["-5e-1", "-1E3", "-.5", "-0.5"])
+    def test_negative_flag_value_in_the_space_form(self, capsys, t_min):
+        # argparse alone reads -5e-1 and -1E3 as unknown options
+        code, out, _ = run_cli(capsys, "scan", str(NOON8_PP), "--step", "1",
+                               "--t-min", t_min, "--t-max", "0", "--samples", "2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["t", repr(float(t_min)), "0.0"]
+
+    def test_negative_infinity_in_the_space_form_is_checked_as_a_value(self, capsys):
+        message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",
+                              "--t-min", "-inf", "--t-max", "0")
+        assert message == "argument --t-min: must be finite, got -inf"
+
     def test_overflowing_grid_is_a_usage_error_naming_t_max(self, capsys):
         message = usage_error(capsys, "scan", str(NOON8_PP), "--step", "1",
                               "--t-min=-1e308", "--t-max=1e308")

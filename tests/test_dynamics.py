@@ -532,14 +532,31 @@ class TestPairRotationKernel:
             )
             assert np.max(np.abs(out.amp - ref.amp)) <= 1e-13
 
-    def test_rotation_matches_dense_carrier(self):
-        trunc = Truncation(5, 8, 2)
+    @pytest.mark.parametrize("trunc", [Truncation(5, 8, 2), Truncation(9, 3, 0),
+                                       Truncation(1, 12, 1), Truncation(12, 1, 0)])
+    def test_rotation_matches_dense_carrier(self, trunc):
+        # the k = 0 pair kernel against the Pauli-matrix oracle, dx != dy
         rng = np.random.default_rng(6)
-        for _ in range(5):
-            spec = RotationSpec(rng.uniform(-7, 7), rng.uniform(-7, 7))
+        thetas = [0.0, 2 * math.pi, -2 * math.pi] + rng.uniform(-7, 7, 5).tolist()
+        for theta in thetas:
+            spec = RotationSpec(theta, rng.uniform(-7, 7))
             state = random_state(rng, trunc)
             ref = apply_operator(carrier_rotation(spec, trunc), state)
             assert np.max(np.abs(apply_rotation(state, spec).amp - ref.amp)) <= 1e-14
+
+    def test_carrier_is_the_same_along_either_axis(self):
+        # at k = 0 a pair is (|e, n>, |g, n>), so the driven axis only orders the pairs
+        trunc = Truncation(7, 4, 0)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            amp = random_state(rng, trunc).amp
+            theta, phi = rng.uniform(-7, 7, 2)
+            along = {axis: dynamics._rotate_pairs(amp, axis, 0, np.full((1, trunc.dim_of(axis)),
+                                                                         theta / 2), phi)
+                     for axis in "xy"}
+            assert along["x"].tobytes() == along["y"].tobytes()
+            assert along["x"][0].tobytes() == apply_rotation(
+                HybridState(amp, trunc), RotationSpec(theta, phi)).amp.tobytes()
 
     def test_guard_check_applies_to_the_kernel(self):
         with pytest.raises(FieldError, match="^k must be <= the guard band 2, got 4$"):
@@ -605,7 +622,8 @@ class TestScanPulse:
 
         p_g, p_e, leakage = scan_pulse(state, spec, ts)
         freq = rabi_frequencies(spec, trunc)
-        amps = dynamics._rotate_pairs(state.amp, spec, freq, ts)
+        angles = freq[: trunc.dim_of(spec.axis) - k] * ts[:, None]
+        amps = dynamics._rotate_pairs(state.amp, spec.axis, k, angles)
         rows = []
         for i, t in enumerate(ts.tolist()):
             out, leak = apply_pulse(state, dataclasses.replace(spec, duration=t))

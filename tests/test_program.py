@@ -20,6 +20,7 @@ from noonsim import (
     serialize,
 )
 from noonsim.fock import FieldError
+from noonsim import program as program_module
 from noonsim.program import step_keyword
 from conftest import random_program
 
@@ -116,6 +117,19 @@ class TestParse:
         assert step_keyword(program.trunc) == "set"
         with pytest.raises(ValueError, match="unknown step"):
             step_keyword(object())
+
+    def test_each_step_is_checked_once(self, monkeypatch):
+        # by the Program that parse builds; parse itself checks no step
+        calls = []
+        check = program_module._check_step
+
+        def counted(index, step, trunc):
+            calls.append(index)
+            return check(index, step, trunc)
+
+        monkeypatch.setattr(program_module, "_check_step", counted)
+        parse(NOON8_PP.read_text())
+        assert calls == list(range(9))
 
     def test_shipped_noon8_matches_builder(self):
         program = parse(NOON8_PP.read_text())
@@ -215,6 +229,25 @@ class TestParseErrors:
         col = len(before) + 2
         assert str(err.value) == f"line {lineno}, col {col}: {message}"
         assert (err.value.line, err.value.col) == (lineno, col)
+
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ("prepare q=e nx=0 ny=0\nprepare q=e nx=0 ny=0\nmeasure q=x\n",
+             3, 9, "q must be 'g' or 'e', got 'x'"),
+            ("prepare q=e nx=0 ny=0\npulse axis=x k=5 eta=0.2 omega=1.0 t=1.0 form=closed\n"
+             "rotate theta=tau phi=0\n", 3, 8, "invalid angle 'tau'"),
+            ("prepare q=e nx=0 ny=0\nmeasure q=e\nprepare q=e nx=0 ny=0\n"
+             "pulse axis=x k=5 eta=0.2 omega=1.0 t=1.0 form=closed\n",
+             3, 1, "prepare may only appear first"),
+        ],
+        ids=["place-then-value", "fit-then-syntax", "place-then-fit"],
+    )
+    def test_values_are_read_before_any_step_is_placed_or_fitted(self, text, line, col, message):
+        # of several errors, a line's syntax or value comes first, then the first step's place or fit
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
 
     def test_first_step_that_is_not_a_prepare_names_its_line(self):
         with pytest.raises(ParseError) as err:
