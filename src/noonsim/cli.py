@@ -13,6 +13,7 @@ checks of ``fock``, before the program is read, as in
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import math
@@ -114,9 +115,8 @@ def cmd_scan(args) -> int:
                              f"sideband pulse among the {n} steps")
     target = program.steps[args.step]
 
-    # evolve up to (not including) the scanned pulse
-    prefix = list(program.steps[: args.step])
-    base = run_sequence(prefix, program.trunc, leakage_limit=math.inf).final_state
+    # evolve up to (not including) the scanned pulse, with run's leakage limit
+    base = run_sequence(list(program.steps[: args.step]), program.trunc).final_state
 
     p_g, p_e, leakage = scan_pulse(base, target.spec, ts)
     lines = ["t,p_e,p_g,leakage"]
@@ -128,7 +128,7 @@ def cmd_scan(args) -> int:
 
 def _load_program(path: str) -> Program:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # a byte-order mark is no program text
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

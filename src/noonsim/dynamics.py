@@ -17,20 +17,22 @@ every pair (|e, n>, |g, n>), with the laser phase phi on the off-diagonal
 carrier's Debye-Waller factor, which would make the angle depend on n.
 
 One kernel, ``_rotate_pairs``, applies every step's rotations directly to
-the (2, dx, dy) amplitude tensor, for a table of S rows of angles at once,
-giving (S, 2, dx, dy).  ``apply_rotation`` is its k = 0 row of theta/2.
-A sideband pulse enters it through ``_rotate_pulse``, with the angles
-Omega_n t of S durations, which it checks before the kernel takes cos and
-sin, so an overflowing duration or table is a ``PhysicsError`` naming the
-pulse.  ``apply_pulse`` is a batch of one duration, from a table it builds
-or one the caller already built (the protocol engine solves auto
-durations from the same table); ``scan_pulse`` builds the table once and
-sends a duration scan through it in chunks of about 2^14 amplitudes,
-returning only the qubit populations and leakage of each sample.  Both
-take the qubit populations from the norm check, ``check_normalized``, and
-the leakage from one sum, ``_guard_sum``, that squares only the guard
-band.  These are the runtime propagators, and their cost is linear in the
-number of amplitudes.  A pulse fits its truncation by one rule,
+the (2, dx, dy) amplitude tensor.  It broadcasts its angles against the
+pairs and puts their leading shape in front: one angle gives (2, dx, dy),
+an (S, d - k) table (S, 2, dx, dy).  ``apply_rotation`` passes it the one
+angle theta/2 at k = 0.  A sideband pulse enters it through
+``_rotate_pulse``, with the angles Omega_n t of one duration or of a 1-D
+array of them, which it checks before the kernel takes cos and sin, so an
+overflowing duration or table is a ``PhysicsError`` naming the pulse.
+``apply_pulse`` passes one duration, with a table it builds or one the
+caller already built (the protocol engine solves auto durations from the
+same table); ``scan_pulse`` builds the table once and sends a duration
+scan through it in chunks of about 2^14 amplitudes, returning only the
+qubit populations and leakage of each sample.  Both take the qubit
+populations from the norm check, ``check_normalized``, and the leakage
+from one sum, ``_guard_sum``, that squares only the guard band.  These
+are the runtime propagators, and their cost is linear in the number of
+amplitudes.  A pulse fits its truncation by one rule,
 ``_driven_dim``: a guard band of at least k levels, or a ``FieldError`` on
 k, as for the fit rules of ``fock``.
 
@@ -314,9 +316,13 @@ def carrier_rotation(spec: RotationSpec, trunc: Truncation) -> np.ndarray:
 
 
 def apply_rotation(state: HybridState, spec: RotationSpec) -> HybridState:
-    """Apply the carrier rotation R(theta, phi): the k = 0 pair rotation by theta / 2 on every pair."""
-    angles = np.full((1, state.trunc.dim_x), spec.theta / 2.0)
-    return HybridState(_rotate_pairs(state.amp, "x", 0, angles, spec.phi)[0], state.trunc)
+    """Apply the carrier rotation R(theta, phi): the k = 0 pair rotation by theta / 2 on every pair.
+
+    The one angle goes to the kernel as a one-element array, which it
+    broadcasts over the pairs, so cos and sin are numpy's.
+    """
+    angle = np.array([spec.theta / 2.0])
+    return HybridState(_rotate_pairs(state.amp, "x", 0, angle, spec.phi), state.trunc)
 
 
 def apply_operator(u: np.ndarray, state: HybridState) -> HybridState:
@@ -347,47 +353,52 @@ def _guard_sum(amp: np.ndarray, axis: str, trunc: Truncation) -> np.ndarray:
 _CHUNK_AMPLITUDES = 2**14
 
 
-def _rotate_pulse(state: HybridState, spec: PulseSpec, freq: np.ndarray,
-                  ts: np.ndarray) -> np.ndarray:
-    """The (S, 2, dx, dy) amplitudes after the sideband pulse, for each of S durations ``ts``.
+def _rotate_pulse(state: HybridState, spec: PulseSpec, freq: np.ndarray, ts) -> np.ndarray:
+    """The amplitudes after the sideband pulse of duration ``ts``, one or a 1-D array of them.
 
+    (2, dx, dy) for one duration and (S, 2, dx, dy) for S of them.
     ``freq`` is the pulse's table (``rabi_frequencies``), of which the d - k
     pairs inside the driven mode use the head: the kernel rotates pair n by
     the angle freq[n] * t at phi = 0.  An angle that is not finite is a
-    ``PhysicsError`` naming the pulse, raised before the kernel runs.
+    ``PhysicsError`` naming the pulse, its n and its t, raised before the
+    kernel runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = freq[: state.trunc.dim_of(spec.axis) - spec.k] * ts[:, None]
+        phase = np.multiply.outer(ts, freq[: state.trunc.dim_of(spec.axis) - spec.k])
     if not np.isfinite(phase).all():
-        i, n = np.argwhere(~np.isfinite(phase))[0].tolist()
+        *i, n = np.argwhere(~np.isfinite(phase))[0].tolist()
         raise PhysicsError(f"pulse axis={spec.axis} k={spec.k}: phase Omega_n t = "
-                           f"{float(phase[i, n])!r} is not finite at n = {n}, t = {float(ts[i])!r}")
+                           f"{float(phase[(*i, n)])!r} is not finite at n = {n}, "
+                           f"t = {float(np.asarray(ts)[tuple(i)])!r}")
     return _rotate_pairs(state.amp, spec.axis, spec.k, phase)
 
 
 def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
                   phi: float = 0.0) -> np.ndarray:
-    """Rotate each pair (|e, n>, |g, n+k>) of the mode ``axis`` by angles[:, n], for each row.
+    """Rotate each pair (|e, n>, |g, n+k>) of the mode ``axis`` by its angle in ``angles``.
 
-    ``amp`` is one (2, dx, dy) tensor and ``angles`` an (S, m) table, k >= 0
-    and m <= d - k; the result is (S, 2, dx, dy).  With a = angles[s, n],
-    the pair (e, g) is mapped by [[cos a, -i e^{i phi} sin a],
+    ``amp`` is one (2, dx, dy) tensor, k >= 0, and ``angles`` an array whose
+    last axis broadcasts against the d - k pairs: one angle for every pair,
+    a row of d - k, or an (S, d - k) table.  The result has the leading
+    shape of ``angles`` in front of (2, dx, dy).  With a the angle of pair
+    n, the pair (e, g) is mapped by [[cos a, -i e^{i phi} sin a],
     [-i e^{-i phi} sin a, cos a]]: a sideband pulse with a = Omega_n t and
     phi = 0, and at k = 0 the carrier R(theta, phi) with a = theta / 2.
-    Amplitudes without a partner inside the mode (|e, n> with n + k above
-    the cutoff, |g, n> with n < k) are left fixed, as in
-    ``closed_form_unitary``.
+    Amplitudes without a partner inside the mode (|e, n> with n >= d - k,
+    |g, n> with n < k) are copied unchanged, as in ``closed_form_unitary``;
+    every amplitude is written once.
     """
-    e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], angles.shape[1]
     c, s, w = np.cos(angles)[..., None], -1j * np.sin(angles)[..., None], cmath.exp(1j * phi)
     # at phi = 0, as for every sideband pulse, the block is [[c, -is], [-is, c]] as it stands
     s_eg, s_ge = (s * w, s * w.conjugate()) if phi else (s, s)
-    out = np.repeat(amp[None], len(angles), axis=0)
+    out = np.empty(np.shape(angles)[:-1] + amp.shape, dtype=complex)
     # bring the driven mode next to the qubit; swapaxes gives views, so writes to o land in out
-    a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(2, 3))
-    e, g = a[e_idx, :m], a[g_idx, k : k + m]
-    o[:, e_idx, :m] = c * e + s_eg * g
-    o[:, g_idx, k : k + m] = s_ge * e + c * g
+    a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(-2, -1))
+    e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], a.shape[1] - k
+    e, g = a[e_idx, :m], a[g_idx, k:]
+    o[..., e_idx, :m, :] = c * e + s_eg * g
+    o[..., g_idx, k:, :] = s_ge * e + c * g
+    o[..., e_idx, m:, :], o[..., g_idx, :k, :] = a[e_idx, m:], a[g_idx, :k]
     return out
 
 
@@ -404,8 +415,7 @@ def apply_pulse(
         raise ValueError(f"apply_pulse needs seconds; solve the marker {spec.duration!r} first")
     if freq is None:
         freq = rabi_frequencies(spec, state.trunc)
-    amp = _rotate_pulse(state, spec, freq, np.array([float(spec.duration)]))
-    out = HybridState(amp[0], state.trunc)
+    out = HybridState(_rotate_pulse(state, spec, freq, float(spec.duration)), state.trunc)
     return out, guard_band_population(out, spec.axis)
 
 

@@ -246,6 +246,18 @@ class TestRun:
         assert (doc["error"], doc["line"], doc["col"]) == ("parse", 3, 21)
         assert "byte 0xff" in doc["message"]
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        prog = tmp_path / "bom.pp"
+        prog.write_bytes(b"\xef\xbb\xbf" + NOON8_PP.read_bytes())
+        assert run_cli(capsys, "run", str(prog)) == run_cli(capsys, "run", str(NOON8_PP))
+        # a bad byte after the mark is reported at its column counted without the mark
+        prog.write_bytes(b"\xef\xbb\xbfprepare q=e nx=0 ny=0\xff\n")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 1, 22)
+        assert "byte 0xff" in doc["message"]
+
     def test_value_error_is_not_reported_as_physics(self, monkeypatch):
         # only PhysicsError means physics; any other ValueError is a fault of the program
         def broken(*args, **kwargs):
@@ -467,6 +479,20 @@ class TestScan:
                                  "--t-min", "0", "--t-max", "1")
         assert (code, out) == (2, "")
         assert json.loads(err) == GUARD_TOO_SMALL_ERROR
+
+    def test_leaky_prefix_is_the_physics_error_of_run(self, capsys, tmp_path):
+        # the x pulse leaves 79% of the state in the x guard band before the scanned y pulse
+        prog = tmp_path / "leaky.pp"
+        prog.write_text("set nmax_x=8 nmax_y=8 guard=4\nprepare q=e nx=4 ny=0\n"
+                        "pulse axis=x k=4 eta=0.2 omega=15000.0 t=0.05 form=closed\n"
+                        "pulse axis=y k=4 eta=0.2 omega=15000.0 t=0.05 form=closed\n")
+        ran = run_cli(capsys, "run", str(prog))
+        scanned = run_cli(capsys, "scan", str(prog), "--step", "2",
+                          "--t-min", "0", "--t-max", "0.1", "--samples", "3")
+        assert scanned == ran
+        assert ran[:2] == (3, "")
+        assert json.loads(ran[2]) == {"error": "physics", "message": (
+            "guard-band leakage 7.879e-01 at step 1 exceeds 1.000e-06; increase the truncation")}
 
     def test_step_out_of_range(self, capsys):
         message = usage_error(capsys, "scan", str(NOON8_PP),

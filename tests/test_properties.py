@@ -30,6 +30,7 @@ from noonsim import (
     VacuumPi,
     apply_pulse,
     apply_rotation,
+    dynamics,
     parse,
     run_sequence,
     scan_pulse,
@@ -94,6 +95,33 @@ class TestPropagators:
         out = apply_rotation(state, spec)
         np.testing.assert_allclose(np.sum(np.abs(out.amp) ** 2, axis=0),
                                    np.sum(np.abs(state.amp) ** 2, axis=0), rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_pair_kernel_broadcasts_its_angles(self, data):
+        trunc = data.draw(truncations())
+        axis = data.draw(st.sampled_from("xy"), label="axis")
+        d = trunc.dim_of(axis)
+        k = data.draw(st.integers(0, d - 1), label="k")
+        angle = data.draw(st.floats(-50.0, 50.0), label="angle")
+        phi = data.draw(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)), label="phi")
+        amp = random_state(data.draw, trunc).amp
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="angles seed"))
+        table = rng.uniform(-50.0, 50.0, (data.draw(st.integers(1, 4), label="rows"), d - k))
+        i = data.draw(st.integers(0, len(table) - 1), label="row")
+
+        def rotate(angles):
+            return dynamics._rotate_pairs(amp, axis, k, angles, phi)
+
+        one = rotate(np.array([angle]))
+        assert one.shape == amp.shape
+        assert one.tobytes() == rotate(np.full(d - k, angle)).tobytes()
+        assert rotate(table)[i].tobytes() == rotate(table[i]).tobytes()
+        # |e, n> with n >= d - k and |g, n> with n < k have no partner inside the mode
+        before, after = (amp, one) if axis == "x" else (amp.swapaxes(1, 2), one.swapaxes(1, 2))
+        e, g = QUBIT_INDEX["e"], QUBIT_INDEX["g"]
+        assert after[e, d - k:].tobytes() == before[e, d - k:].tobytes()
+        assert after[g, :k].tobytes() == before[g, :k].tobytes()
 
 
 class TestNormCheck:
