@@ -13,7 +13,6 @@ checks of ``fock``, before the program is read, as in
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 
 from .dynamics import PhysicsError, scan_pulse
 from .fock import QUBIT_LABELS, FieldError, _require_finite, _require_int
-from .program import ParseError, Program, parse, serialize, step_keyword
+from .program import ParseError, Program, _text_lines, parse, serialize, step_keyword
 from .protocol import MeasureQubit, SidebandPulse, noon_fidelity, qubit_level, run_sequence
 
 SCHEMA_VERSION = 2
@@ -128,17 +127,17 @@ def cmd_scan(args) -> int:
 
 def _load_program(path: str) -> Program:
     with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)  # a byte-order mark is no program text
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # lines as parse splits them; the last one ends at the bad byte
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        # lines as parse reads them, a byte-order mark dropped; the last one ends at the bad byte
+        lines = _text_lines(data[: exc.start].decode("utf-8") + "?")
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
                          len(lines), len(lines[-1])) from None
     program = parse(text)
     if not program.steps:
-        raise ParseError("no steps; a program starts with a prepare", len(text.splitlines()) + 1)
+        raise ParseError("no steps; a program starts with a prepare", len(_text_lines(text)) + 1)
     return program
 
 

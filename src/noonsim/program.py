@@ -1,9 +1,12 @@
 """Pulse-program text format: parser and canonical serializer.
 
-One step per line, ``keyword key=value ...``; ``#`` starts a comment and
-blank lines are ignored.  At most one config line, ``set``, precedes the
-steps, and the first step prepares the initial state; ``demos/noon8.pp``
-is a complete program.
+One step per line, ``keyword key=value ...``; ``#`` starts a comment that
+runs to the end of its line, whatever it holds, and blank lines are
+ignored.  At most one config line, ``set``, precedes the steps, and the
+first step prepares the initial state; ``demos/noon8.pp`` is a complete
+program.  What a line is, ``_text_lines`` decides, for ``parse`` and for
+the positions the command line reports: a leading byte-order mark is
+dropped, and a line ends only at a newline, ``\\n``, ``\\r\\n`` or ``\\r``.
 
 The format is written down once, in the table ``_FORMAT``: each keyword
 names what its line builds and its keys in canonical order, and each key
@@ -31,6 +34,7 @@ value is reported before any step's place or fit.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -189,13 +193,29 @@ def _split_fields(tokens: list[tuple[str, int]], allowed: list[str], line: int) 
     return out
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of program text, each with its end read as ``\\n``.
+
+    One leading U+FEFF (a byte-order mark) is dropped, and a line ends only
+    at ``\\n``, ``\\r\\n`` or ``\\r``, Python's universal newlines: a form
+    feed, ``\\v``, U+0085 or U+2028 is whitespace inside its line, though
+    ``str``'s own line split takes each of them for a line end.
+    """
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None).readlines()
+
+
 def parse(text: str) -> Program:
-    """Parse pulse-program text; raises ParseError with line/column."""
+    """Parse pulse-program text; raises ParseError with line/column.
+
+    Lines are read by ``_text_lines``, so a text that starts with a
+    byte-order mark parses as the same text without it, and columns are
+    counted without the mark.
+    """
     trunc = Truncation()
     set_line = None
     steps = []  # (step, line, fields, lineno, kw_col) of each step line
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(_text_lines(text), start=1):
             tokens = [(m[0], m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
             if not tokens:
                 continue

@@ -132,6 +132,8 @@ class RunResult:
 
     @property
     def final_state(self) -> HybridState:
+        if not self.steps:
+            raise ValueError("the run has no steps, so it has no final state")
         return self.steps[-1].state
 
     @property

@@ -258,6 +258,29 @@ class TestRun:
         assert (doc["error"], doc["line"], doc["col"]) == ("parse", 1, 22)
         assert "byte 0xff" in doc["message"]
 
+    @pytest.mark.parametrize("text, kinds", [
+        ("# note\fmeasure q=g\nprepare q=e nx=0 ny=0\n", ["prepare"]),
+        ("prepare q=e nx=0 ny=0\nrotate theta=pi/2 phi=0  # then\u2028measure q=g\n",
+         ["prepare", "rotate"]),
+    ], ids=["form-feed", "line-separator"])
+    def test_a_comment_runs_to_the_newline(self, capsys, tmp_path, text, kinds):
+        # a form feed or U+2028 ends no line, so the measure after it is comment
+        prog = tmp_path / "comment.pp"
+        prog.write_bytes(text.encode())
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, err) == (0, "")
+        assert [step["kind"] for step in json.loads(out)["steps"]] == kinds
+
+    def test_bad_byte_after_a_next_line_character_is_on_its_line(self, capsys, tmp_path):
+        # U+0085 ends no line
+        prog = tmp_path / "nel.pp"
+        prog.write_bytes(b"prepare q=e nx=0 ny=0\n\xc2\x85\xff")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["line"], doc["col"]) == ("parse", 2, 2)
+        assert "byte 0xff" in doc["message"]
+
     def test_value_error_is_not_reported_as_physics(self, monkeypatch):
         # only PhysicsError means physics; any other ValueError is a fault of the program
         def broken(*args, **kwargs):

@@ -131,6 +131,14 @@ class TestParse:
         parse(NOON8_PP.read_text())
         assert calls == list(range(9))
 
+    def test_byte_order_mark_is_dropped(self):
+        # as the command line drops it, with columns counted without it
+        text = NOON8_PP.read_text(encoding="utf-8")
+        assert parse("\ufeff" + text) == parse(text)
+        with pytest.raises(ParseError) as err:
+            parse("\ufeffprepare q=x nx=0 ny=0")
+        assert str(err.value) == "line 1, col 9: q must be 'g' or 'e', got 'x'"
+
     def test_shipped_noon8_matches_builder(self):
         program = parse(NOON8_PP.read_text())
         assert program.steps == tuple(build_noon8(1.0, 1.0, 1000))
@@ -165,6 +173,12 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse(line + "\n")
         assert str(err.value) == f"line 1, col {col}: {message}"
+
+    def test_a_form_feed_is_whitespace_inside_its_line(self):
+        # a line ends only at a newline, so the measure is one more token of the prepare line
+        with pytest.raises(ParseError) as err:
+            parse("prepare q=e nx=0 ny=0\fmeasure q=e")
+        assert str(err.value) == "line 1, col 23: expected key=value, got 'measure'"
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import string
 import tempfile
 from dataclasses import replace
 
@@ -208,6 +209,13 @@ def programs(draw):
     return Program(trunc, tuple(steps))
 
 
+# what str.splitlines would end a line at, besides the newlines, may stand in a comment
+COMMENTS = st.one_of(st.just(""), st.text(
+    st.sampled_from(string.ascii_letters + "# \v\f\x1c\x1d\x1e\x85\u2028\u2029"), max_size=12,
+).map("#".__add__))
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 def outcome(program):
     """The run's records, or the PhysicsError it stops with."""
     try:
@@ -237,6 +245,16 @@ class TestPrograms:
         except ValueError:
             return
         assert parse(serialize(program)) == program
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=programs(), data=st.data())
+    def test_a_line_ends_only_at_a_newline(self, program, data):
+        # any newline, a comment or blank line before each line, a comment after it
+        text = data.draw(st.sampled_from(["", "\ufeff"]), label="byte-order mark")
+        for line in serialize(program).splitlines():
+            for body in (data.draw(COMMENTS), f"{line} {data.draw(COMMENTS)}"):
+                text += body + data.draw(LINE_ENDS)
+        assert parse(text) == program
 
     @settings(max_examples=25, deadline=None)
     @given(program=programs())

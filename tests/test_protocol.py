@@ -545,8 +545,10 @@ class TestRunSequence:
         assert applied == []
         run_sequence(build_noon8(1.0, 1.0), TRUNC)
         assert len(applied) == 4
-        # an empty sequence has no step out of place, and runs to no records
+        # an empty sequence has no step out of place, and runs to no records and no final state
         assert run_sequence([], TRUNC).steps == ()
+        with pytest.raises(ValueError, match="^the run has no steps, so it has no final state$"):
+            run_sequence([], TRUNC).final_state
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="^unknown step 'measure q=e'$"):
