@@ -17,22 +17,23 @@ every pair (|e, n>, |g, n>), with the laser phase phi on the off-diagonal
 carrier's Debye-Waller factor, which would make the angle depend on n.
 
 One kernel, ``_rotate_pairs``, applies every step's rotations directly to
-the (2, dx, dy) amplitude tensor.  It broadcasts its angles against the
-pairs and puts their leading shape in front: one angle gives (2, dx, dy),
-an (S, d - k) table (S, 2, dx, dy).  ``apply_rotation`` passes it the one
-angle theta/2 at k = 0.  A sideband pulse enters it through
-``_rotate_pulse``, with the angles Omega_n t of one duration or of a 1-D
-array of them, which it checks before the kernel takes cos and sin, so an
-overflowing duration or table is a ``PhysicsError`` naming the pulse.
-``apply_pulse`` passes one duration, with a table it builds or one the
-caller already built (the protocol engine solves auto durations from the
-same table); ``scan_pulse`` builds the table once and sends a duration
-scan through it in chunks of about 2^14 amplitudes, returning only the
-qubit populations and leakage of each sample.  Both take the qubit
-populations from the norm check, ``check_normalized``, and the leakage
-from one sum, ``_guard_sum``, that squares only the guard band.  These
-are the runtime propagators, and their cost is linear in the number of
-amplitudes.  A pulse fits its truncation by one rule,
+the (2, dx, dy) amplitude tensor, with one 2x2 block for every pair at
+every phi; a sideband pulse is its phi = 0 case.  It broadcasts its angles
+against the pairs and puts their leading shape in front: one angle gives
+(2, dx, dy), an (S, d - k) table (S, 2, dx, dy).  ``apply_rotation``
+passes it the one angle theta/2 at k = 0.  A sideband pulse enters it
+through ``_rotate_pulse``, with the angles Omega_n t of one duration or of
+a 1-D array of them, which it checks before the kernel takes cos and sin,
+so an overflowing duration or table is a ``PhysicsError`` naming the
+pulse.  ``apply_pulse`` passes one duration, with a table it builds or one
+the caller already built (the protocol engine builds each pulse's table and
+solves its auto duration from it); ``scan_pulse`` builds the table once
+and sends a duration scan through it in chunks of about 2^14 amplitudes,
+returning only the qubit populations and leakage of each sample.  Both
+take the qubit populations from the norm check, ``check_normalized``, and
+the leakage from one sum, ``_guard_sum``, that squares only the guard
+band.  These are the runtime propagators, and their cost is linear in the
+number of amplitudes.  A pulse fits its truncation by one rule,
 ``_driven_dim``: a guard band of at least k levels, or a ``FieldError`` on
 k, as for the fit rules of ``fock``.
 
@@ -384,20 +385,21 @@ def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
     n, the pair (e, g) is mapped by [[cos a, -i e^{i phi} sin a],
     [-i e^{-i phi} sin a, cos a]]: a sideband pulse with a = Omega_n t and
     phi = 0, and at k = 0 the carrier R(theta, phi) with a = theta / 2.
+    One block serves every phi: at phi = 0 its factors 1 + 0i and 1 - 0i
+    give the values of the real block [[cos a, -i sin a], [-i sin a, cos a]],
+    and only where an angle is exactly 0 can a zero part differ in its sign.
     Amplitudes without a partner inside the mode (|e, n> with n >= d - k,
     |g, n> with n < k) are copied unchanged, as in ``closed_form_unitary``;
     every amplitude is written once.
     """
     c, s, w = np.cos(angles)[..., None], -1j * np.sin(angles)[..., None], cmath.exp(1j * phi)
-    # at phi = 0, as for every sideband pulse, the block is [[c, -is], [-is, c]] as it stands
-    s_eg, s_ge = (s * w, s * w.conjugate()) if phi else (s, s)
     out = np.empty(np.shape(angles)[:-1] + amp.shape, dtype=complex)
     # bring the driven mode next to the qubit; swapaxes gives views, so writes to o land in out
     a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(-2, -1))
     e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], a.shape[1] - k
     e, g = a[e_idx, :m], a[g_idx, k:]
-    o[..., e_idx, :m, :] = c * e + s_eg * g
-    o[..., g_idx, k:, :] = s_ge * e + c * g
+    o[..., e_idx, :m, :] = c * e + s * w * g
+    o[..., g_idx, k:, :] = s * w.conjugate() * e + c * g
     o[..., e_idx, m:, :], o[..., g_idx, :k, :] = a[e_idx, m:], a[g_idx, :k]
     return out
 

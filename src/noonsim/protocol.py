@@ -414,14 +414,14 @@ def run_sequence(
 ) -> RunResult:
     """Execute a pulse program step by step, one ``StepRecord`` per step.
 
-    The run builds one table of Rabi frequencies per distinct pulse, by its
-    (axis, k, eta, omega, form), and a pulse takes both its duration and its
-    propagation from that table.  Measurements project onto
-    the requested qubit level (or the override), record the branch
-    probability, and renormalize; ``outcome_override``, if given, is 'g' or
-    'e'.  Every record keeps its state.  Leakage above ``leakage_limit``
-    raises; pass ``math.inf`` to disable the check.  Any other limit that
-    is not a finite real number >= 0 is a ``FieldError``.
+    Each pulse builds its own table of Rabi frequencies,
+    ``rabi_frequencies``, and takes both its duration and its propagation
+    from that one table.  Measurements project onto the requested qubit
+    level (or the override), record the branch probability, and
+    renormalize; ``outcome_override``, if given, is 'g' or 'e'.  Every
+    record keeps its state.  Leakage above ``leakage_limit`` raises; pass
+    ``math.inf`` to disable the check.  Any other limit that is not a
+    finite real number >= 0 is a ``FieldError``.
 
     Every step is checked by ``_check_step`` before the first state is
     built, so a step that is unknown, out of place or does not fit raises
@@ -434,18 +434,14 @@ def run_sequence(
     for i, step in enumerate(steps):
         _check_step(i, step, trunc)
 
-    records, tables = [], {}
+    records = []
     for i, step in enumerate(steps):
         if isinstance(step, Prepare):
             state = basis_state(step.q, step.nx, step.ny, trunc)
             rec = StepRecord(i, state, 0.0)
         elif isinstance(step, SidebandPulse):
-            spec = step.spec
-            key = (spec.axis, spec.k, spec.eta, spec.omega, spec.form)
-            freq = tables.get(key)
-            if freq is None:
-                freq = tables[key] = rabi_frequencies(spec, trunc)
-            spec, timing_infid = resolve_duration(spec, freq)
+            freq = rabi_frequencies(step.spec, trunc)
+            spec, timing_infid = resolve_duration(step.spec, freq)
             state, leakage = apply_pulse(state, spec, freq)
             if leakage > leakage_limit:
                 raise PhysicsError(

@@ -309,18 +309,32 @@ class TestRun:
         assert "no measure step" in message
         assert main(["run", str(prog)]) == 0
 
-    def test_run_builds_one_frequency_table_per_distinct_pulse(self, capsys, monkeypatch):
-        tables = []
+    def test_each_pulse_times_and_runs_on_the_table_built_from_its_own_spec(self, monkeypatch):
+        built, timed, applied = [], [], []
+
+        def build(spec, trunc, table=dynamics.rabi_frequencies):
+            built.append((spec, table(spec, trunc)))
+            return built[-1][1]
+
+        def timing(spec, freq, resolve=protocol.resolve_duration):
+            timed.append(freq)
+            return resolve(spec, freq)
+
+        def pulse(state, spec, freq=None, apply=protocol.apply_pulse):
+            applied.append(freq)
+            return apply(state, spec, freq)
+
         for module in (dynamics, protocol):
-            def counted(spec, n, table=module.rabi_frequencies):
-                tables.append(spec)
-                return table(spec, n)
-            monkeypatch.setattr(module, "rabi_frequencies", counted)
+            monkeypatch.setattr(module, "rabi_frequencies", build)
+        monkeypatch.setattr(protocol, "resolve_duration", timing)
+        monkeypatch.setattr(protocol, "apply_pulse", pulse)
         assert main(["run", str(NOON8_PP)]) == 0
-        steps = parse(NOON8_PP.read_text()).steps
-        # the vacuum and superposition pulses of one axis differ only in duration
-        assert tables == [s.spec for s in steps[1:4] if isinstance(s, protocol.SidebandPulse)]
-        assert [spec.axis for spec in tables] == ["x", "y"]
+        pulses = [s.spec for s in parse(NOON8_PP.read_text()).steps
+                  if isinstance(s, protocol.SidebandPulse)]
+        assert [spec for spec, _ in built] == pulses
+        assert [spec.axis for spec in pulses] == ["x", "y", "x", "y"]
+        for (_, table), t, a in zip(built, timed, applied, strict=True):
+            assert t is table and a is table
 
     def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP))

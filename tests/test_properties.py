@@ -123,6 +123,12 @@ class TestPropagators:
         e, g = QUBIT_INDEX["e"], QUBIT_INDEX["g"]
         assert after[e, d - k:].tobytes() == before[e, d - k:].tobytes()
         assert after[g, :k].tobytes() == before[g, :k].tobytes()
+        if phi == 0:
+            # the partnered amplitudes see the real block [[c, -is], [-is, c]], applied by hand
+            c, s = np.cos([angle]), -1j * np.sin([angle])
+            e_n, g_n = before[e, :d - k], before[g, k:]
+            assert after[e, :d - k].tobytes() == (c * e_n + s * g_n).tobytes()
+            assert after[g, k:].tobytes() == (s * e_n + c * g_n).tobytes()
 
 
 class TestNormCheck:

@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from noonsim import (
     Rotate,
     RotationSpec,
     SidebandPulse,
+    StepRecord,
     SuperpositionPi,
     Truncation,
     VacuumPi,
     apply_pulse,
+    apply_rotation,
     build_noon8,
     ladder,
     noon_fidelity,
@@ -549,6 +552,28 @@ class TestRunSequence:
         assert run_sequence([], TRUNC).steps == ()
         with pytest.raises(ValueError, match="^the run has no steps, so it has no final state$"):
             run_sequence([], TRUNC).final_state
+
+    @pytest.mark.parametrize("field, value", [("eta", 0.25), ("omega", 20000.0), ("form", "full")])
+    def test_each_pulse_runs_on_its_own_table(self, field, value):
+        # two x pulses that differ only in one field their table reads: a run that reused the
+        # first pulse's table for the second would time and rotate the second wrongly
+        first = PulseSpec("x", 4, 0.2, 15000.0, VacuumPi())
+        second = replace(first, **{field: value})
+        assert not np.array_equal(rabi_frequencies(first, TRUNC), rabi_frequencies(second, TRUNC))
+        steps = [Prepare("e", 0, 0), SidebandPulse(first),
+                 Rotate(RotationSpec(math.pi / 2, math.pi / 2)), SidebandPulse(second)]
+        state = basis_state("e", 0, 0, TRUNC)
+        expected = [StepRecord(0, state, 0.0)]
+        for i, step in enumerate(steps[1:], 1):
+            if isinstance(step, Rotate):
+                state = apply_rotation(state, step.spec)
+                expected.append(StepRecord(i, state, 0.0))
+            else:
+                freq = rabi_frequencies(step.spec, TRUNC)
+                spec, infid = resolve_duration(step.spec, freq)
+                state, leakage = apply_pulse(state, spec, freq)
+                expected.append(StepRecord(i, state, leakage, spec.duration, infid))
+        assert run_sequence(steps, TRUNC).steps == tuple(expected)
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="^unknown step 'measure q=e'$"):
