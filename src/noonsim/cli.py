@@ -1,5 +1,8 @@
 """Command line: run a pulse program, or scan one pulse's duration.
 
+``run`` writes its result document as one line of compact JSON, and
+``scan`` its samples as CSV.
+
 Exit codes: 0 success, 2 parse or usage error (a pulse whose k exceeds
 the guard band included), 3 physics error or guard-band leakage (a
 truncation whose state does not fit in memory included), 4 I/O error.
@@ -88,7 +91,8 @@ def cmd_run(args) -> int:
                              "the program has no measure step")
     result = run_sequence(list(program.steps), program.trunc, outcome_override=args.outcome)
     doc = result_document(program, result, dump_states=args.dump_states)
-    _write_out(args.out, json.dumps(doc, indent=2) + "\n")
+    # one compact line: indent= would turn off json's C encoder
+    _write_out(args.out, json.dumps(doc) + "\n")
     return 0
 
 

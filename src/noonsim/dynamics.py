@@ -398,8 +398,12 @@ def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
     a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(-2, -1))
     e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], a.shape[1] - k
     e, g = a[e_idx, :m], a[g_idx, k:]
-    o[..., e_idx, :m, :] = c * e + s * w * g
-    o[..., g_idx, k:, :] = s * w.conjugate() * e + c * g
+    oe, og = o[..., e_idx, :m, :], o[..., g_idx, k:, :]
+    # each row is written into its slice of out: no sum temporary and no copy
+    np.multiply(c, e, out=oe)
+    oe += s * w * g
+    np.multiply(s * w.conjugate(), e, out=og)
+    og += c * g
     o[..., e_idx, m:, :], o[..., g_idx, :k, :] = a[e_idx, m:], a[g_idx, :k]
     return out
 

@@ -175,22 +175,35 @@ _KEY_NAMES = {keyword: [key.name for key in line.keys] for keyword, line in _FOR
 _KEYWORDS = {line.builds: keyword for keyword, line in _FORMAT.items()}
 
 
-def _split_fields(tokens: list[tuple[str, int]], allowed: list[str], line: int) -> dict:
-    """key=value tokens -> dict, rejecting unknown or duplicate keys."""
+def _split_fields(text: str, words: list[str], allowed: list[str], line: int) -> dict:
+    """The key=value words after the keyword -> {key: (value, word index)}.
+
+    ``words`` are the words of ``text``, a line without its comment, the
+    keyword first.  Rejects unknown or duplicate keys.
+    """
     out: dict[str, tuple[str, int]] = {}
-    for tok, col in tokens:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", line, col)
-        key, _, value = tok.partition("=")
+    for index, word in enumerate(words[1:], start=1):
+        if "=" not in word:
+            raise ParseError(f"expected key=value, got {word!r}", line, _column(text, index))
+        key, _, value = word.partition("=")
         if key not in allowed:
-            raise ParseError(f"unknown key {key!r}", line, col)
+            raise ParseError(f"unknown key {key!r}", line, _column(text, index))
         if key in out:
-            raise ParseError(f"duplicate key {key!r}", line, col)
-        out[key] = (value, col)
+            raise ParseError(f"duplicate key {key!r}", line, _column(text, index))
+        out[key] = (value, index)
     missing = [k for k in allowed if k not in out]
     if missing:
         raise ParseError(f"missing key(s): {', '.join(missing)}", line)
     return out
+
+
+def _column(text: str, index: int) -> int:
+    """The column of word ``index`` of ``text`` (0 is the first word), counted from 1.
+
+    Worked out only for an error: ``parse`` splits a line with ``str.split``,
+    whose whitespace is ``_TOKEN_RE``'s.
+    """
+    return list(_TOKEN_RE.finditer(text))[index].start() + 1
 
 
 def _text_lines(text: str) -> list[str]:
@@ -213,42 +226,44 @@ def parse(text: str) -> Program:
     """
     trunc = Truncation()
     set_line = None
-    steps = []  # (step, line, fields, lineno, kw_col) of each step line
+    steps = []  # (step, line, fields, lineno, body) of each step line
     try:
         for lineno, raw in enumerate(_text_lines(text), start=1):
-            tokens = [(m[0], m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
-            if not tokens:
+            body = raw.split("#", 1)[0]
+            words = body.split()
+            if not words:
                 continue
-            keyword, kw_col = tokens[0]
+            keyword = words[0]
             line = _FORMAT.get(keyword)
             if line is None:
-                raise ParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+                raise ParseError(f"unknown keyword {keyword!r}", lineno, _column(body, 0))
             if line.builds is Truncation and steps:
-                raise ParseError("config lines must precede steps", lineno, kw_col)
+                raise ParseError("config lines must precede steps", lineno, _column(body, 0))
             if line.builds is Truncation and set_line is not None:
                 raise ParseError(f"the truncation is already set on line {set_line}",
-                                 lineno, kw_col)
-            fields = _split_fields(tokens[1:], _KEY_NAMES[keyword], lineno)
+                                 lineno, _column(body, 0))
+            fields = _split_fields(body, words, _KEY_NAMES[keyword], lineno)
             values = {}
             for key in line.keys:
-                value, col = fields[key.name]
+                value, index = fields[key.name]
                 try:
                     values[key.attr] = key.parse(value)
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno, col) from None
+                    raise ParseError(str(exc), lineno, _column(body, index)) from None
             obj = line.builds(line.spec(**values)) if line.spec else line.builds(**values)
             if line.builds is Truncation:
                 trunc, set_line = obj, lineno
             else:
-                steps.append((obj, line, fields, lineno, kw_col))
+                steps.append((obj, line, fields, lineno, body))
         return Program(trunc, tuple(step for step, *_ in steps))
     except ValueError as exc:  # a constructor's, on the line being read, or Program's check
         if hasattr(exc, "_step_index"):  # of the step it names: report at that step's line
-            _, line, fields, lineno, kw_col = steps[exc._step_index]
+            _, line, fields, lineno, body = steps[exc._step_index]
         if isinstance(exc, FieldError):  # names the attribute that one key sets
             key = next(k for k in line.keys if k.attr == exc.field)
-            raise ParseError(f"{key.name} {exc.detail}", lineno, fields[key.name][1]) from None
-        raise ParseError(str(exc), lineno, kw_col) from None  # the step may not stand here
+            raise ParseError(f"{key.name} {exc.detail}", lineno,
+                             _column(body, fields[key.name][1])) from None
+        raise ParseError(str(exc), lineno, _column(body, 0)) from None  # the step may not stand here
 
 
 def step_keyword(step) -> str:

@@ -182,18 +182,15 @@ def solve_duration(
         t, infid = math.pi / (2.0 * w_vac), 0.0
     else:
         runs, descents = _runs(w_vac, w_super, marker.horizon)
-        best = None
-        # t_m beyond the float range scores nan, which never wins after m = 0
+        ms = [first + j * step for first, step, count in runs
+              for j in range(max(0, count - _RUN_TAIL), count)]
+        ts = [(2.0 * m + 1.5) * math.pi / w_vac for m in ms]
+        # t_m beyond the float range scores nan, which never wins after the first record
         with np.errstate(invalid="ignore"):
-            for first, step, count in runs:
-                for j in range(max(0, count - _RUN_TAIL), count):
-                    m = first + j * step
-                    t = (2.0 * m + 1.5) * math.pi / w_vac
-                    s = float(np.sin(w_super * t))
-                    infid = 1.0 - s * s
-                    if best is None or infid < best[2]:
-                        best = (m, t, infid)
-        m, t, infid = best
+            s = np.sin([w_super * t for t in ts])
+        infids = (1.0 - s * s).tolist()
+        best = min(range(len(ms)), key=infids.__getitem__)  # the first of ties
+        m, t, infid = ms[best], ts[best], infids[best]
         _debug(
             "superposition pulse, horizon %d: %d runs, %d descents, m = %d, infidelity %.3e",
             marker.horizon, len(runs), descents, m, infid,

@@ -43,6 +43,17 @@ def usage_error(capsys, *argv):
     return doc["message"]
 
 
+def bits(value):
+    """``value`` with each float as its hex and each tuple as a list, for a bit-exact comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value
+
+
 class TestRun:
     def test_noon8_outcome_g(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP), "--outcome", "g")
@@ -121,6 +132,21 @@ class TestRun:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["program"].startswith("set nmax_x=12")
+
+    @pytest.mark.parametrize("flags", [[], ["--outcome", "g", "--dump-states"]],
+                             ids=["plain", "outcome-g-dump-states"])
+    def test_the_document_is_one_line_of_json(self, capsys, tmp_path, flags):
+        code, out, err = run_cli(capsys, "run", str(NOON8_PP), *flags)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 and out.endswith("\n")
+        program = parse(NOON8_PP.read_text())
+        result = run_sequence(list(program.steps), program.trunc,
+                              outcome_override="g" if flags else None)
+        expected = result_document(program, result, dump_states=bool(flags))
+        assert bits(json.loads(out)) == bits(expected)
+        target = tmp_path / "result.json"
+        assert main(["run", str(NOON8_PP), *flags, "--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pp"

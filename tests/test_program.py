@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,47 @@ class TestParseErrors:
             parse(VALID.replace(old, new, 1))
         assert str(err.value) == f"line {line}, col {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    def test_an_error_column_starts_the_word_at_fault(self):
+        # columns are worked out only for an error; each names col 1 (a missing
+        # key), the keyword, or the key=value word whose key or value the message names
+        rng = random.Random(26)
+        base = NOON8_PP.read_text()
+        inserts = list("az09=#.-/( \t\n") + ["\x1c", "\u3000", "\xa0", "k=", "pi", "prepare ", "set "]
+        errors = 0
+        for _ in range(2000):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                if rng.random() < 0.4:
+                    text = text[:i] + text[i + rng.randint(1, 6):]
+                else:
+                    text = text[:i] + rng.choice(inserts) + text[i:]
+            try:
+                parse(text)
+            except ParseError as err:
+                errors += 1
+                message = str(err).split(": ", 1)[1]
+                body = program_module._text_lines(text)[err.line - 1].split("#", 1)[0]
+                words = {m.start() + 1: m[0] for m in re.finditer(r"\S+", body)}
+                if err.col == 1 or err.col == min(words):
+                    continue
+                word = words[err.col]
+                key, eq, value = word.partition("=")
+                assert (key in message or value in message) if eq else (
+                    message == f"expected key=value, got {word!r}"), (text, str(err))
+        assert errors > 1000
+
+    def test_words_may_be_separated_by_any_whitespace(self):
+        # U+3000 and the information separator \x1c split words, as a space does
+        line = "prepare\u3000q=e\x1cnx=0 ny=0"
+        assert parse(line) == parse("prepare q=e nx=0 ny=0")
+        with pytest.raises(ParseError) as err:
+            parse(line.replace("ny=0", "ny=x"))
+        assert str(err.value) == "line 1, col 18: invalid integer 'x'"
+        with pytest.raises(ParseError) as err:
+            parse(line.replace("nx=0", "nx"))
+        assert str(err.value) == "line 1, col 13: expected key=value, got 'nx'"
 
     def test_totality_on_garbage(self):
         rng = random.Random(99)

@@ -372,6 +372,19 @@ class TestExactSuperpositionSolver:
             every_record = [[m] for m in records]
             assert solve_super(w_vac, w_super, 10**k) == float_rule(w_vac, w_super, every_record)
 
+    @pytest.mark.parametrize("horizon", [1, 1000, 10**6])
+    def test_records_are_scored_as_one_by_one(self, horizon):
+        # the solver scores its records in one np.sin call on an array; each
+        # (t, infidelity) equals float_rule's scalar np.sin per record, bit for bit
+        rng = random.Random(horizon)
+        pairs = [_closed_pair(1.0), (13.395954891471767, 205.40464166923377)]  # sqrt(70), ~46/3
+        pairs += [(w, w * rng.uniform(0.1, 40.0)) for w in (10 ** rng.uniform(-2, 3) for _ in range(100))]
+        for w_vac, w_super in pairs:
+            runs, _ = _runs(w_vac, w_super, horizon)
+            t, infid = solve_super(w_vac, w_super, horizon)
+            expected_t, expected_infid = float_rule(w_vac, w_super, expand(runs))
+            assert (t.hex(), infid.hex()) == (expected_t.hex(), expected_infid.hex())
+
     def test_exact_ratios_with_small_denominators(self):
         # w_super / w_vac = p / q exactly: the distances of two candidates can
         # tie, and a tie is not a record
