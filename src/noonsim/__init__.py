@@ -10,11 +10,13 @@ The package is organized in four layers:
   each sideband pulse is a set of 2x2 rotations on the pairs
   (|e,n>, |g,n+k>), with the closed and full forms differing only in their
   table of Rabi frequencies, which one function builds per pulse.  A pulse
-  enters the kernel through ``apply_pulse``, or a whole duration scan at
-  once through ``scan_pulse``, and a carrier rotation is the same kernel at
-  k = 0, on the pairs (|e,n>, |g,n>), through ``apply_rotation``.  A
-  pulse's duration is seconds or an auto marker (``VacuumPi``,
-  ``SuperpositionPi``), defined beside ``PulseSpec``.  The
+  enters the kernel through ``apply_pulse(state, spec, duration)``, or a
+  whole duration scan at once through ``scan_pulse(state, spec,
+  durations)``, and a carrier rotation is the same kernel at k = 0, on the
+  pairs (|e,n>, |g,n>), through ``apply_rotation``.  A program's pulse
+  duration is seconds or an auto marker (``VacuumPi``,
+  ``SuperpositionPi``), defined beside ``PulseSpec``; the kernel takes
+  seconds as an argument, which ``protocol.resolve_duration`` gives.  The
   dense builders (sideband Hamiltonian, closed-form four-phonon unitary,
   eigendecomposition matrix exponential, dense carrier rotation) are kept
   as reference oracles for tests.

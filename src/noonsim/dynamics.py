@@ -25,11 +25,14 @@ passes it the one angle theta/2 at k = 0.  A sideband pulse enters it
 through ``_rotate_pulse``, with the angles Omega_n t of one duration or of
 a 1-D array of them, which it checks before the kernel takes cos and sin,
 so an overflowing duration or table is a ``PhysicsError`` naming the
-pulse.  ``apply_pulse`` passes one duration, with a table it builds or one
-the caller already built (the protocol engine builds each pulse's table and
-solves its auto duration from it); ``scan_pulse`` builds the table once
+pulse.  Both entry points take a pulse's duration as an argument and
+ignore ``spec.duration``: ``apply_pulse(state, spec, duration)`` passes
+one duration, with a table it builds or one the caller already built (the
+protocol engine builds each pulse's table and solves its auto duration
+from it); ``scan_pulse(state, spec, durations)`` builds the table once
 and sends a duration scan through it in chunks of about 2^14 amplitudes,
 returning only the qubit populations and leakage of each sample.  Both
+check each duration as ``PulseSpec`` checks its own, and both
 take the qubit populations from the norm check, ``check_normalized``, and
 the leakage from one sum, ``_guard_sum``, that squares only the guard
 band.  These are the runtime propagators, and their cost is linear in the
@@ -39,8 +42,9 @@ k, as for the fit rules of ``fock``.
 
 A pulse's duration is seconds or one of the two auto markers defined here
 beside ``PulseSpec``, ``VacuumPi`` and ``SuperpositionPi``; every check
-tells them apart by one name, ``_AutoDuration``, and the protocol engine
-solves a marker before the kernel sees the pulse.
+tells them apart by one name, ``_AutoDuration``.  Only the program layer
+reads ``spec.duration``: the protocol engine turns it into seconds,
+solving a marker, and passes those seconds to the kernel.
 
 The dense dim x dim builders -- ``sideband_hamiltonian``,
 ``closed_form_unitary``, ``expm_oracle`` (Hermitian eigendecomposition),
@@ -229,18 +233,15 @@ def sideband_elements(count: int, k: int, eta: float, omega: float) -> np.ndarra
 def closed_form_frequencies(g: float, k: int, n) -> np.ndarray:
     """k-phonon Rabi frequencies g sqrt((n+k)(n+k-1)...(n+1)) in the Lamb-Dicke limit.
 
-    The product is taken left to right from (n+k), so for k = 4 the values
-    are bit-identical to g * sqrt((n+4)(n+3)(n+2)(n+1)).  A value beyond
-    the float range is inf, and g = 0 times a product beyond it is nan,
-    without a warning; the kernel's phase check and the duration solver
-    report either.
+    The product is one reduction over the rows n + j, j = k .. 1, taken
+    left to right from (n+k), so for k = 4 the values are bit-identical to
+    g * sqrt((n+4)(n+3)(n+2)(n+1)).  A value beyond the float range is
+    inf, and g = 0 times a product beyond it is nan, without a warning;
+    the kernel's phase check and the duration solver report either.
     """
     n = np.asarray(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = n + float(k)
-        for j in range(k - 1, 0, -1):
-            prod = prod * (n + float(j))
-        return g * np.sqrt(prod)
+        return g * np.sqrt(np.multiply.reduce(np.add.outer(np.arange(k, 0, -1.0), n)))
 
 
 def rabi_frequencies(spec: PulseSpec, trunc: Truncation) -> np.ndarray:
@@ -388,12 +389,14 @@ def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
     One block serves every phi: at phi = 0 its factors 1 + 0i and 1 - 0i
     give the values of the real block [[cos a, -i sin a], [-i sin a, cos a]],
     and only where an angle is exactly 0 can a zero part differ in its sign.
-    Amplitudes without a partner inside the mode (|e, n> with n >= d - k,
-    |g, n> with n < k) are copied unchanged, as in ``closed_form_unitary``;
-    every amplitude is written once.
+    ``out`` starts as a copy of ``amp``, one for each leading index, and the
+    two rows of every pair are then written over it, so amplitudes without
+    a partner inside the mode (|e, n> with n >= d - k, |g, n> with n < k)
+    keep their values, as in ``closed_form_unitary``.
     """
     c, s, w = np.cos(angles)[..., None], -1j * np.sin(angles)[..., None], cmath.exp(1j * phi)
     out = np.empty(np.shape(angles)[:-1] + amp.shape, dtype=complex)
+    out[...] = amp
     # bring the driven mode next to the qubit; swapaxes gives views, so writes to o land in out
     a, o = (amp, out) if axis == "x" else (amp.swapaxes(1, 2), out.swapaxes(-2, -1))
     e_idx, g_idx, m = QUBIT_INDEX["e"], QUBIT_INDEX["g"], a.shape[1] - k
@@ -404,24 +407,26 @@ def _rotate_pairs(amp: np.ndarray, axis: str, k: int, angles: np.ndarray,
     oe += s * w * g
     np.multiply(s * w.conjugate(), e, out=og)
     og += c * g
-    o[..., e_idx, m:, :], o[..., g_idx, :k, :] = a[e_idx, m:], a[g_idx, :k]
     return out
 
 
 def apply_pulse(
-    state: HybridState, spec: PulseSpec, freq: np.ndarray | None = None
+    state: HybridState, spec: PulseSpec, duration, freq: np.ndarray | None = None
 ) -> tuple[HybridState, float]:
-    """Propagate one sideband pulse; returns (new state, guard-band leakage).
+    """One sideband pulse for ``duration`` seconds: (new state, guard-band leakage).
 
-    ``spec.duration`` must be seconds; auto markers are solved by the
-    protocol engine first.  ``freq`` is the pulse's table,
+    ``spec.duration`` is ignored, as in ``scan_pulse``: a spec that holds
+    a marker runs for the seconds it is given, and the protocol engine
+    passes those it solved (``protocol.resolve_duration``).  ``duration``
+    is checked as ``PulseSpec`` checks its own, by ``_require_finite``, so
+    a marker, a bool or a value that is not a finite real number is a
+    ``FieldError`` on ``duration``.  ``freq`` is the pulse's table,
     ``rabi_frequencies(spec, state.trunc)``, built here when not given.
     """
-    if isinstance(spec.duration, _AutoDuration):
-        raise ValueError(f"apply_pulse needs seconds; solve the marker {spec.duration!r} first")
+    _require_finite(duration=duration)
     if freq is None:
         freq = rabi_frequencies(spec, state.trunc)
-    out = HybridState(_rotate_pulse(state, spec, freq, float(spec.duration)), state.trunc)
+    out = HybridState(_rotate_pulse(state, spec, freq, float(duration)), state.trunc)
     return out, guard_band_population(out, spec.axis)
 
 
@@ -432,8 +437,8 @@ def scan_pulse(
 
     Each duration is checked as ``PulseSpec`` checks its own, by
     ``_require_finite``, before any is converted.  ``spec.duration`` is
-    ignored.  Equal, bit for bit, to ``apply_pulse`` of each duration
-    followed by ``qubit_populations``: the frequency table
+    ignored, as in ``apply_pulse``.  Equal, bit for bit, to ``apply_pulse``
+    of each duration followed by ``qubit_populations``: the frequency table
     is built once, and the samples go through ``_rotate_pulse`` in chunks
     of about ``_CHUNK_AMPLITUDES`` amplitudes, each checked as a
     ``HybridState`` checks its own, by ``check_normalized``, whose

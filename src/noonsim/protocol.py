@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -368,25 +368,25 @@ def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
     )
 
 
-def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[PulseSpec, float | None]:
-    """Solve an auto marker's duration: (spec in seconds, predicted timing infidelity).
+def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[float, float | None]:
+    """A pulse's duration in seconds: (seconds, predicted timing infidelity).
 
-    ``freq`` is the table the pulse is propagated with,
+    A given duration is returned as it is, the same object, with
+    infidelity None; an auto marker is solved, with infidelity 0 for
+    ``VacuumPi``.  ``freq`` is the table the pulse is propagated with,
     ``rabi_frequencies(spec, trunc)``, and the two frequencies are its
     Omega_0 and Omega_k: for the full Hamiltonian they carry the
     exp(-eta^2/2) and Laguerre corrections, whose O(eta^2) shifts would
-    otherwise accumulate over the long superposition pulse.  A given
-    duration is returned as it is, with infidelity None; a solved one is 0
-    for ``VacuumPi``.  A solver ``PhysicsError`` names the pulse.
+    otherwise accumulate over the long superposition pulse.  A solver
+    ``PhysicsError`` names the pulse.
     """
     d = spec.duration
     if not isinstance(d, _AutoDuration):
-        return spec, None
+        return d, None
     try:
-        t, infid = solve_duration(d, float(freq[0]), float(freq[spec.k]))
+        return solve_duration(d, float(freq[0]), float(freq[spec.k]))
     except PhysicsError as exc:
         raise PhysicsError(f"pulse axis={spec.axis} k={spec.k}: {exc}") from None
-    return replace(spec, duration=t), infid
 
 
 def _measure(state: HybridState, outcome: str) -> tuple[HybridState, float]:
@@ -413,12 +413,14 @@ def run_sequence(
 
     Each pulse builds its own table of Rabi frequencies,
     ``rabi_frequencies``, and takes both its duration and its propagation
-    from that one table.  Measurements project onto the requested qubit
-    level (or the override), record the branch probability, and
-    renormalize; ``outcome_override``, if given, is 'g' or 'e'.  Every
-    record keeps its state.  Leakage above ``leakage_limit`` raises; pass
-    ``math.inf`` to disable the check.  Any other limit that is not a
-    finite real number >= 0 is a ``FieldError``.
+    from that one table: ``resolve_duration`` gives the seconds, and
+    ``apply_pulse(state, step.spec, seconds, table)`` runs the program's
+    own spec for them, so no spec is rebuilt.  Measurements project onto
+    the requested qubit level (or the override), record the branch
+    probability, and renormalize; ``outcome_override``, if given, is 'g'
+    or 'e'.  Every record keeps its state.  Leakage above
+    ``leakage_limit`` raises; pass ``math.inf`` to disable the check.  Any
+    other limit that is not a finite real number >= 0 is a ``FieldError``.
 
     Every step is checked by ``_check_step`` before the first state is
     built, so a step that is unknown, out of place or does not fit raises
@@ -438,14 +440,14 @@ def run_sequence(
             rec = StepRecord(i, state, 0.0)
         elif isinstance(step, SidebandPulse):
             freq = rabi_frequencies(step.spec, trunc)
-            spec, timing_infid = resolve_duration(step.spec, freq)
-            state, leakage = apply_pulse(state, spec, freq)
+            t, timing_infid = resolve_duration(step.spec, freq)
+            state, leakage = apply_pulse(state, step.spec, t, freq)
             if leakage > leakage_limit:
                 raise PhysicsError(
                     f"guard-band leakage {leakage:.3e} at step {i} exceeds "
                     f"{leakage_limit:.3e}; increase the truncation"
                 )
-            solved = None if timing_infid is None else spec.duration
+            solved = None if timing_infid is None else t
             rec = StepRecord(i, state, leakage, solved, timing_infid)
         elif isinstance(step, Rotate):
             state = apply_rotation(state, step.spec)

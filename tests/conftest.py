@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from noonsim import (
@@ -13,7 +14,16 @@ from noonsim import (
     SuperpositionPi,
     Truncation,
     VacuumPi,
+    basis_state,
+    carrier_rotation,
+    coupling_g,
+    expm_oracle,
+    ladder,
+    sideband_hamiltonian,
 )
+from noonsim.dynamics import _embed_qubit_axis, rabi_frequencies
+from noonsim.fock import QUBIT_INDEX
+from noonsim.protocol import resolve_duration
 
 
 def random_program(rng: random.Random) -> Program:
@@ -52,6 +62,50 @@ def random_program(rng: random.Random) -> Program:
         else:
             steps.append(MeasureQubit(rng.choice("ge")))
     return Program(trunc, tuple(steps))
+
+
+def closed_form_hamiltonian(spec, trunc):
+    """g_k (sigma_+ a^k + h.c.) from the ladder operator, independently of the frequency table."""
+    d = trunc.dim_of(spec.axis)
+    sigma_plus = np.zeros((2, 2), dtype=complex)
+    sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
+    a_k = np.linalg.matrix_power(ladder(d, "lower", spec.axis).mat, spec.k)
+    h = coupling_g(spec) * _embed_qubit_axis(np.kron(sigma_plus, a_k), spec.axis, trunc)
+    return h + h.conj().T
+
+
+def run_dense(program: Program) -> list[np.ndarray]:
+    """The (2, dx, dy) amplitudes after each step of ``program``, from dense reference operators.
+
+    A second engine for whole programs, sharing with ``run_sequence`` only
+    the seconds of each pulse, from ``resolve_duration``, whose solver has
+    its own oracles.  A pulse is ``expm_oracle`` of its dense Hamiltonian,
+    ``closed_form_hamiltonian`` for the closed form and
+    ``sideband_hamiltonian`` for the full one; a rotation is
+    ``carrier_rotation``; a measurement zeroes the other qubit level and
+    renormalizes.  Each step multiplies a dim x dim matrix, so keep
+    ``Truncation.dim`` to a few hundred.
+    """
+    trunc = program.trunc
+    shape = (2, trunc.dim_x, trunc.dim_y)
+    states = []
+    for step in program.steps:
+        if isinstance(step, Prepare):
+            vec = basis_state(step.q, step.nx, step.ny, trunc).ravel()
+        elif isinstance(step, SidebandPulse):
+            spec = step.spec
+            t, _ = resolve_duration(spec, rabi_frequencies(spec, trunc))
+            full = spec.form == "full"
+            h = sideband_hamiltonian(spec, trunc) if full else closed_form_hamiltonian(spec, trunc)
+            vec = expm_oracle(h, t) @ vec
+        elif isinstance(step, Rotate):
+            vec = carrier_rotation(step.spec, trunc) @ vec
+        else:  # a MeasureQubit
+            amp = vec.reshape(shape).copy()
+            amp[QUBIT_INDEX["g" if step.outcome == "e" else "e"]] = 0.0
+            vec = amp.ravel() / np.linalg.norm(amp)
+        states.append(vec.reshape(shape))
+    return states
 
 
 DENSE_BUILDERS = (

@@ -343,12 +343,12 @@ class TestRun:
             return built[-1][1]
 
         def timing(spec, freq, resolve=protocol.resolve_duration):
-            timed.append(freq)
+            timed.append((spec, freq))
             return resolve(spec, freq)
 
-        def pulse(state, spec, freq=None, apply=protocol.apply_pulse):
-            applied.append(freq)
-            return apply(state, spec, freq)
+        def pulse(state, spec, duration, freq=None, apply=protocol.apply_pulse):
+            applied.append((spec, freq))
+            return apply(state, spec, duration, freq)
 
         for module in (dynamics, protocol):
             monkeypatch.setattr(module, "rabi_frequencies", build)
@@ -359,8 +359,10 @@ class TestRun:
                   if isinstance(s, protocol.SidebandPulse)]
         assert [spec for spec, _ in built] == pulses
         assert [spec.axis for spec in pulses] == ["x", "y", "x", "y"]
-        for (_, table), t, a in zip(built, timed, applied, strict=True):
-            assert t is table and a is table
+        # each pulse runs the program's own spec object, not a copy that holds its seconds
+        for built_one, timed_one, applied_one in zip(built, timed, applied, strict=True):
+            assert all(x is y for x, y in zip(built_one, timed_one, strict=True))
+            assert all(x is y for x, y in zip(built_one, applied_one, strict=True))
 
     def test_schema_2_reports_timing_and_measurement_in_the_step_records(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(NOON8_PP))

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from noonsim.dynamics import (
 )
 from noonsim.fock import QUBIT_INDEX, FieldError, HybridState
 from noonsim.protocol import VacuumPi, resolve_duration
+from conftest import closed_form_hamiltonian
 
 TRUNC = Truncation(12, 12, 4)
 
@@ -176,6 +176,28 @@ class TestRabiFrequencies:
         n = np.arange(97, dtype=float)
         old = g * np.sqrt((n + 4.0) * (n + 3.0) * (n + 2.0) * (n + 1.0))
         assert np.array_equal(closed_form_frequencies(g, 4, n), old)
+
+    def test_closed_table_is_the_loop_of_products_bit_for_bit(self):
+        # the one reduction against k - 1 array products from (n + k) down, kept here as the
+        # reference: same order, so same bits, inf and nan beyond the float range included
+        def loop(g, k, n):
+            n = np.asarray(n, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prod = n + float(k)
+                for j in range(k - 1, 0, -1):
+                    prod = prod * (n + float(j))
+                return g * np.sqrt(prod)
+
+        rng = np.random.default_rng(17)
+        for _ in range(1200):
+            k = int(rng.integers(1, 40))
+            g = [0.0, 1e-300, rng.uniform(0.0, 3.0), 1e300][rng.integers(4)]
+            top = 10.0 ** rng.uniform(0.0, 90.0)
+            n = rng.uniform(0.0, top) if rng.random() < 0.3 else rng.uniform(0.0, top, 7)
+            out, ref = closed_form_frequencies(g, k, n), loop(g, k, n)
+            assert np.shape(out) == np.shape(ref)
+            assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+        assert np.shape(closed_form_frequencies(1.0, 4, 3)) == ()
 
 
 class TestClosedFormUnitary:
@@ -375,14 +397,14 @@ class TestCarrierRotation:
 class TestApplyPulse:
     def test_zero_duration(self):
         state = basis_state("e", 2, 3, TRUNC)
-        out, leakage = apply_pulse(state, closed_spec(t=0.0))
+        out, leakage = apply_pulse(state, closed_spec(), 0.0)
         assert abs(np.vdot(out.amp, state.amp)) ** 2 == pytest.approx(1.0)
         assert leakage == 0.0
 
     def test_vacuum_transfer_closed(self):
         spec = PulseSpec("x", 4, 0.2, 15000.0, VacuumPi(), "closed")
-        spec, _ = resolve_duration(spec, rabi_frequencies(spec, TRUNC))
-        out, leakage = apply_pulse(basis_state("e", 0, 0, TRUNC), spec)
+        t, _ = resolve_duration(spec, rabi_frequencies(spec, TRUNC))
+        out, leakage = apply_pulse(basis_state("e", 0, 0, TRUNC), spec, t)
         assert out.population("g", 4, 0) == pytest.approx(1.0, abs=1e-12)
         assert leakage <= 1e-12
 
@@ -391,19 +413,25 @@ class TestApplyPulse:
         omega = 24.0 / eta**4  # g = 1
         t = math.pi / (2 * math.sqrt(24))
         closed, _ = apply_pulse(
-            basis_state("e", 0, 0, TRUNC), PulseSpec("x", 4, 0.2, 15000.0, t, "closed")
+            basis_state("e", 0, 0, TRUNC), PulseSpec("x", 4, 0.2, 15000.0, t, "closed"), t
         )
         full, _ = apply_pulse(
-            basis_state("e", 0, 0, TRUNC), PulseSpec("x", 4, eta, omega, t, "full")
+            basis_state("e", 0, 0, TRUNC), PulseSpec("x", 4, eta, omega, t, "full"), t
         )
         assert abs(np.vdot(closed.amp, full.amp)) ** 2 >= 1 - 1e-3
 
-    @pytest.mark.parametrize("marker", [VacuumPi(), SuperpositionPi(10)], ids=["vacuum", "super"])
-    def test_symbolic_duration_rejected(self, marker):
-        spec = PulseSpec("x", 4, 0.2, 15000.0, marker, "closed")
-        message = f"^apply_pulse needs seconds; solve the marker {re.escape(repr(marker))} first$"
-        with pytest.raises(ValueError, match=message):
-            apply_pulse(basis_state("e", 0, 0, TRUNC), spec)
+    @pytest.mark.parametrize("held", [0.1, VacuumPi(), SuperpositionPi(10)],
+                             ids=["seconds", "vacuum", "super"])
+    def test_spec_duration_is_ignored(self, held):
+        # the pulse runs for the seconds it is given: a marker's solved ones, or 0.2 for a
+        # spec that holds 0.1, exactly as a spec that holds those seconds runs
+        spec = closed_spec(t=held)
+        solved, _ = resolve_duration(spec, rabi_frequencies(spec, TRUNC))
+        t = 0.2 if isinstance(held, float) else solved
+        state = random_state(np.random.default_rng(12), TRUNC)
+        out, leakage = apply_pulse(state, spec, t)
+        ref, ref_leakage = apply_pulse(state, closed_spec(t=t), t)
+        assert (out.amp.tobytes(), leakage) == (ref.amp.tobytes(), ref_leakage)
 
     @pytest.mark.parametrize("scalar", [np.float32, np.float64, np.int64])
     def test_numpy_scalar_duration_runs_as_its_float(self, scalar):
@@ -414,13 +442,12 @@ class TestApplyPulse:
             values = rng.uniform(0.0, 2.0, 6).astype(np.float32).tolist()
         state = random_state(rng, TRUNC)
         for value in values:
-            given, plain = closed_spec(t=scalar(value)), closed_spec(t=float(value))
-            out, leakage = apply_pulse(state, given)
-            ref, ref_leakage = apply_pulse(state, plain)
+            out, leakage = apply_pulse(state, closed_spec(), scalar(value))
+            ref, ref_leakage = apply_pulse(state, closed_spec(), float(value))
             assert (out.amp.tobytes(), leakage) == (ref.amp.tobytes(), ref_leakage)
             run, ref_run = (
-                run_sequence([Prepare("e", 1, 2), SidebandPulse(spec)], TRUNC)
-                for spec in (given, plain)
+                run_sequence([Prepare("e", 1, 2), SidebandPulse(closed_spec(t=t))], TRUNC)
+                for t in (scalar(value), float(value))
             )
             assert run == ref_run
             assert run.final_state.amp.tobytes() == ref_run.final_state.amp.tobytes()
@@ -448,16 +475,6 @@ class TestOracleEquivalence:
             assert f >= 1 - 5 * eta**2
 
 
-def closed_form_hamiltonian(spec, trunc):
-    """g_k (sigma_+ a^k + h.c.) from the ladder operator, independently of the frequency table."""
-    d = trunc.dim_of(spec.axis)
-    sigma_plus = np.zeros((2, 2), dtype=complex)
-    sigma_plus[QUBIT_INDEX["e"], QUBIT_INDEX["g"]] = 1.0
-    a_k = np.linalg.matrix_power(ladder(d, "lower", spec.axis).mat, spec.k)
-    h = coupling_g(spec) * dynamics._embed_qubit_axis(np.kron(sigma_plus, a_k), spec.axis, trunc)
-    return h + h.conj().T
-
-
 class TestPairRotationKernel:
     """The runtime propagators against the dense reference builders."""
 
@@ -474,7 +491,7 @@ class TestPairRotationKernel:
             spec = PulseSpec(axis, k, eta, rng.uniform(1.0, 50.0),
                              rng.uniform(0.0, 3.0), "full")
             state = random_state(rng, trunc)
-            out, leakage = apply_pulse(state, spec)
+            out, leakage = apply_pulse(state, spec, spec.duration)
             u = expm_oracle(sideband_hamiltonian(spec, trunc), spec.duration)
             ref = apply_operator(u, state)
             assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
@@ -492,7 +509,7 @@ class TestPairRotationKernel:
             omega = rng.uniform(1.0, 10.0) / top * math.factorial(k) / eta**k
             spec = PulseSpec(axis, k, eta, omega, rng.uniform(0.0, 3.0), "closed")
             state = random_state(rng, trunc)
-            out, leakage = apply_pulse(state, spec)
+            out, leakage = apply_pulse(state, spec, spec.duration)
             ref = apply_operator(expm_oracle(closed_form_hamiltonian(spec, trunc), spec.duration),
                                  state)
             assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
@@ -514,7 +531,7 @@ class TestPairRotationKernel:
         h = full if form == "full" else closed_form_hamiltonian(spec, trunc)
         assert np.count_nonzero(np.triu(full)) == np.count_nonzero(np.triu(h)) == spectator_levels
         state = random_state(rng, trunc)
-        out, leakage = apply_pulse(state, spec)
+        out, leakage = apply_pulse(state, spec, spec.duration)
         ref = apply_operator(expm_oracle(h, spec.duration), state)
         assert np.max(np.abs(out.amp - ref.amp)) <= 1e-12
         assert leakage == pytest.approx(guard_band_population(ref, axis), abs=1e-12)
@@ -526,7 +543,7 @@ class TestPairRotationKernel:
         for _ in range(5):
             spec = closed_spec(axis, omega=rng.uniform(1e3, 3e4), t=rng.uniform(0.0, 2.0))
             state = random_state(rng, trunc)
-            out, _ = apply_pulse(state, spec)
+            out, _ = apply_pulse(state, spec, spec.duration)
             ref = apply_operator(
                 closed_form_unitary(coupling_g(spec), spec.duration, trunc, axis), state
             )
@@ -560,7 +577,7 @@ class TestPairRotationKernel:
 
     def test_guard_check_applies_to_the_kernel(self):
         with pytest.raises(FieldError, match="^k must be <= the guard band 2, got 4$"):
-            apply_pulse(basis_state("e", 0, 0, Truncation(12, 12, 2)), closed_spec())
+            apply_pulse(basis_state("e", 0, 0, Truncation(12, 12, 2)), closed_spec(), 0.1)
 
     @pytest.mark.parametrize("form", ["closed", "full"])
     def test_noon8_at_nmax_96_matches_nmax_24(self, form, no_dense_operators):
@@ -614,7 +631,7 @@ class TestScanPulse:
         if guard < k:
             message = f"^k must be <= the guard band {guard}, got {k}$"
             with pytest.raises(FieldError, match=message) as one:
-                apply_pulse(state, spec)
+                apply_pulse(state, spec, ts[0])
             with pytest.raises(FieldError, match=message) as batch:
                 scan_pulse(state, spec, ts)
             assert str(batch.value) == str(one.value)
@@ -626,7 +643,7 @@ class TestScanPulse:
         amps = dynamics._rotate_pairs(state.amp, spec.axis, k, angles)
         rows = []
         for i, t in enumerate(ts.tolist()):
-            out, leak = apply_pulse(state, dataclasses.replace(spec, duration=t))
+            out, leak = apply_pulse(state, spec, t)
             assert np.array_equal(amps[i], out.amp)
             rows.append((*out.qubit_populations(), leak))
         assert list(zip(p_g.tolist(), p_e.tolist(), leakage.tolist())) == rows
@@ -674,7 +691,7 @@ class TestScanPulse:
         state = basis_state("e", 0, 0, TRUNC)
         message = f"pulse axis={axis} k=4: phase Omega_n t = inf is not finite at n = 0"
         with pytest.raises(PhysicsError, match=message):
-            apply_pulse(state, closed_spec(axis, t=1e308))
+            apply_pulse(state, closed_spec(axis), 1e308)
         with pytest.raises(PhysicsError, match=message):
             scan_pulse(state, closed_spec(axis), [0.0, 1e308])
 
@@ -712,6 +729,28 @@ class TestNonFiniteInput:
     def test_pulse_spec_field_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(closed_spec(t=0.1), **{field: value})
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float32("nan"), 10**400, "0.1", None, True, 1 + 0j,
+         VacuumPi(), SuperpositionPi(10)],
+        ids=["nan", "inf", "-inf", "float32-nan", "huge-int", "str", "None", "bool", "complex",
+             "vacuum-marker", "super-marker"],
+    )
+    def test_pulse_duration_argument(self, value):
+        # both entry points check a duration as PulseSpec checks its own; a marker is
+        # solved into seconds by the protocol engine, so as a duration it is not a number
+        state = basis_state("e", 0, 0, TRUNC)
+        with pytest.raises(FieldError) as one:
+            apply_pulse(state, closed_spec(t=0.1), value)
+        with pytest.raises(FieldError) as scan:
+            scan_pulse(state, closed_spec(t=0.1), [0.1, value])
+        assert one.value.field == "duration"
+        assert str(one.value) == str(scan.value)
+        if not isinstance(value, (VacuumPi, SuperpositionPi)):
+            with pytest.raises(FieldError) as spec:
+                closed_spec(t=value)
+            assert str(one.value) == str(spec.value)
 
     @pytest.mark.parametrize(
         "build, field",

@@ -141,8 +141,8 @@ class TestHybridState:
         assert state.amp.dtype == np.complex128 and state.amp.flags.c_contiguous
         assert state == basis_state("e", 0, 0, trunc)
         spec = PulseSpec("x", 4, 0.2, 15000.0, 0.1)
-        out, leakage = apply_pulse(state, spec)
-        ref, ref_leakage = apply_pulse(basis_state("e", 0, 0, trunc), spec)
+        out, leakage = apply_pulse(state, spec, 0.1)
+        ref, ref_leakage = apply_pulse(basis_state("e", 0, 0, trunc), spec, 0.1)
         assert (out.amp.tobytes(), leakage) == (ref.amp.tobytes(), ref_leakage)
         amp[1, 0, 0], amp[0, 2, 3] = 0.5, math.sqrt(0.75)
         if np.array_equal(np.asarray(form(amp), dtype=complex), amp):  # forms that hold it

@@ -75,7 +75,7 @@ class TestPropagators:
         trunc = data.draw(truncations(k))
         spec = data.draw(pulse_specs(k, st.floats(-50.0, 50.0)), label="spec")
         state = random_state(data.draw, trunc)
-        out, _ = apply_pulse(state, spec)
+        out, _ = apply_pulse(state, spec, spec.duration)
 
         # the charge n_axis + k P(e) is what a pair (|e,n>, |g,n+k>) shares
         q, nx, ny = np.indices(state.amp.shape)
@@ -161,7 +161,7 @@ class TestNormCheck:
         ts = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=80), label="ts")
         p_g, p_e, leakage = scan_pulse(state, spec, ts)
         for row, t in zip(zip(p_g.tolist(), p_e.tolist(), leakage.tolist()), ts):
-            out, leak = apply_pulse(state, replace(spec, duration=t))
+            out, leak = apply_pulse(state, spec, t)
             assert row == (*out.qubit_populations(), leak)
 
     @settings(max_examples=40, deadline=None)
