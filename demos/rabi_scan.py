@@ -14,9 +14,9 @@ The same table is available from the CLI:
 import numpy as np
 
 from noonsim import (
-    PulseSpec,
     Truncation,
     basis_state,
+    build_noon8,
     scan_pulse,
     vacuum_pulse_time,
 )
@@ -24,12 +24,12 @@ from noonsim import (
 trunc = Truncation(12, 12, 4)
 state = basis_state("e", 0, 0, trunc)
 g = 1.0
-spec = PulseSpec("x", 4, 0.2, 15000.0 * g, 0.0, "closed")
+spec = build_noon8(g, g)[1].spec  # the protocol's first x pulse
 
 t_pi = vacuum_pulse_time(g)
 print(f"vacuum pi time: {t_pi:.6f}  (pi / (2 sqrt(24) g))")
 
-# one batched evaluation of all 400 durations; spec.duration is not used
+# one batched evaluation of all 400 durations; spec.duration, the auto marker, is not used
 ts = np.linspace(0.0, 4.0 * t_pi, 400)
 p_g, p_e, leakage = scan_pulse(state, spec, ts)
 predicted = np.cos(np.sqrt(24.0) * g * ts) ** 2

@@ -46,7 +46,6 @@ from .dynamics import (
     _driven_dim,
     apply_pulse,
     apply_rotation,
-    closed_form_frequencies,
     rabi_frequencies,
 )
 
@@ -336,38 +335,6 @@ def _nearer_steps(a: int, c: int, horizon: int) -> tuple[list, list]:
     return below, above
 
 
-def vacuum_pulse_time(g: float) -> float:
-    """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g).
-
-    Solved for the coupling g exactly.  ``build_noon8(g, ...)`` drives
-    omega = 15000 g, whose coupling is only within a few ulps of g, so its
-    run may solve a duration that differs in the last bits.  A g that is
-    not a finite real number is a ``FieldError``; g <= 0 is the solver's
-    ``PhysicsError``.
-    """
-    _require_finite(g=g)
-    return solve_duration(VacuumPi(), *closed_form_frequencies(g, 4, [0, 4]).tolist())[0]
-
-
-def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
-    """Best simultaneous transfer within the horizon for a closed-form pulse.
-
-    The pulse must drive |g,4> -> |e,0> (frequency sqrt(24) g) and
-    |e,4> -> |g,8> (frequency sqrt(1680) g) at once; the frequency ratio
-    sqrt(70) is irrational, so the returned duration is exact for the
-    first transition and as close as the horizon allows for the second.
-    Returns (t, predicted_infidelity), solved for the coupling g exactly:
-    the run of ``build_noon8(g, g, horizon)``, whose coupling is within a
-    few ulps of g, may differ in the last bits (at g = 1 this gives
-    t = 481.91809868332047, the run 481.91809868332035).  ``g`` is checked
-    as in ``vacuum_pulse_time``.
-    """
-    _require_finite(g=g)
-    return solve_duration(
-        SuperpositionPi(horizon), *closed_form_frequencies(g, 4, [0, 4]).tolist()
-    )
-
-
 def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[float, float | None]:
     """A pulse's duration in seconds: (seconds, predicted timing infidelity).
 
@@ -387,6 +354,40 @@ def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[float, float | 
         return solve_duration(d, float(freq[0]), float(freq[spec.k]))
     except PhysicsError as exc:
         raise PhysicsError(f"pulse axis={spec.axis} k={spec.k}: {exc}") from None
+
+
+def vacuum_pulse_time(g: float) -> float:
+    """Smallest t > 0 with full |e,0> -> |g,4> transfer: pi / (2 sqrt(24) g).
+
+    The duration the run of ``build_noon8(g, ...)`` solves for its vacuum
+    pulses, bit for bit: the x pulse of that sequence, timed from its own
+    table.  ``g`` is checked as ``build_noon8`` checks a coupling, and a
+    bad one is a ``FieldError`` naming ``g``.
+    """
+    return _timed(_pulse_for_coupling("x", VacuumPi(), g=g))[0]
+
+
+def superposition_pulse_time(g: float, horizon: int) -> tuple[float, float]:
+    """Best simultaneous transfer within the horizon for a closed-form pulse.
+
+    The pulse must drive |g,4> -> |e,0> (frequency sqrt(24) g) and
+    |e,4> -> |g,8> (frequency sqrt(1680) g) at once; the frequency ratio
+    sqrt(70) is irrational, so the returned duration is exact for the
+    first transition and as close as the horizon allows for the second.
+    Returns (t, predicted_infidelity), which the run of
+    ``build_noon8(g, g, horizon)`` records for its superposition pulses, bit
+    for bit.  ``g`` is checked as in ``vacuum_pulse_time``.
+    """
+    return _timed(_pulse_for_coupling("x", SuperpositionPi(horizon), g=g))
+
+
+def _timed(spec: PulseSpec) -> tuple[float, float | None]:
+    """``resolve_duration`` of an auto pulse from the table a run propagates it with.
+
+    Entries 0 and k of the table, the two the solver reads, are the same
+    for every truncation the pulse fits, so the smallest one serves.
+    """
+    return resolve_duration(spec, rabi_frequencies(spec, Truncation(spec.k, spec.k, spec.k)))
 
 
 def _measure(state: HybridState, outcome: str) -> tuple[HybridState, float]:
@@ -465,12 +466,23 @@ DEFAULT_ETA = 0.2
 _OMEGA_PER_G = 15000.0  # 4! / DEFAULT_ETA^4, see _pulse_for_coupling
 
 
-def _pulse_for_coupling(axis: str, g: float, duration) -> PulseSpec:
-    # closed-form pulses depend on (eta, omega) only through g; fix eta and
-    # back out omega = 4! / 0.2^4 * g, so that coupling_g gives g in exact
-    # arithmetic.  In floats the coupling is within a few ulps of g, not
-    # equal to it (1.0000000000000002 at g = 1)
-    return PulseSpec(axis, 4, DEFAULT_ETA, _OMEGA_PER_G * float(g), duration, "closed")
+def _pulse_for_coupling(axis: str, duration, **coupling: float) -> PulseSpec:
+    """The closed-form k = 4 pulse of one NOON-8 coupling, ``coupling`` its one field.
+
+    The coupling is a finite real number > 0 whose omega = 15000 g is
+    finite, or a ``FieldError`` names the field.  Closed-form pulses depend
+    on (eta, omega) only through g, so eta is fixed and omega = 4! / 0.2^4 g
+    backed out.  ``build_noon8`` and the pulse-time helpers take every
+    NOON-8 pulse from here, and each times the pulse, not g.
+    """
+    _require_finite(0, **coupling)
+    ((name, g),) = coupling.items()
+    if g <= 0:
+        raise FieldError(name, f"must be > 0, got {g!r}")
+    omega = _OMEGA_PER_G * float(g)
+    if not math.isfinite(omega):
+        raise FieldError(name, f"must keep omega = {_OMEGA_PER_G!r} * g finite, got {g!r}")
+    return PulseSpec(axis, 4, DEFAULT_ETA, omega, duration, "closed")
 
 
 def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
@@ -479,25 +491,18 @@ def build_noon8(g_x: float, g_y: float, horizon: int = 1000) -> list[Step]:
     Prepare |e,0,0>; vacuum pi pulse on x; reset rotation g -> e; vacuum
     pi pulse on y; half rotation to (|e>+|g>)/sqrt(2); superposition pulse
     on x then y; analysis rotation; measure.  The shipped measurement
-    outcome is 'e'; override at run time for the other branch.  Each
-    coupling is a finite real number > 0 whose omega = 15000 g is finite,
-    or a ``FieldError`` names it.
+    outcome is 'e'; override at run time for the other branch.  Each pulse
+    is ``_pulse_for_coupling``'s, which checks its coupling, ``g_x`` first.
     """
-    _require_finite(0, g_x=g_x, g_y=g_y)
-    for name, g in (("g_x", g_x), ("g_y", g_y)):
-        if g <= 0:
-            raise FieldError(name, f"must be > 0, got {g!r}")
-        if not math.isfinite(_OMEGA_PER_G * float(g)):
-            raise FieldError(name, f"must keep omega = {_OMEGA_PER_G!r} * g finite, got {g!r}")
     half_pi = math.pi / 2.0
     return [
         Prepare("e", 0, 0),
-        SidebandPulse(_pulse_for_coupling("x", g_x, VacuumPi())),
+        SidebandPulse(_pulse_for_coupling("x", VacuumPi(), g_x=g_x)),
         Rotate(RotationSpec(math.pi, -half_pi)),
-        SidebandPulse(_pulse_for_coupling("y", g_y, VacuumPi())),
+        SidebandPulse(_pulse_for_coupling("y", VacuumPi(), g_y=g_y)),
         Rotate(RotationSpec(half_pi, half_pi)),
-        SidebandPulse(_pulse_for_coupling("x", g_x, SuperpositionPi(horizon))),
-        SidebandPulse(_pulse_for_coupling("y", g_y, SuperpositionPi(horizon))),
+        SidebandPulse(_pulse_for_coupling("x", SuperpositionPi(horizon), g_x=g_x)),
+        SidebandPulse(_pulse_for_coupling("y", SuperpositionPi(horizon), g_y=g_y)),
         Rotate(RotationSpec(half_pi, -half_pi)),
         MeasureQubit("e"),
     ]
@@ -533,13 +538,13 @@ def noon_fidelity(state: HybridState, n: int) -> NoonFidelity:
     The overlap with NOON(n, chi) is (a_n0 + e^{-i chi} a_0n) / sqrt(2), so
     the best phase is chi* = arg(a_0n) - arg(a_n0) and the maximum is
     (|a_n0| + |a_0n|)^2 / 2; no numeric scan is needed.  An n that is not
-    an integer is a ValueError, one outside 1..min(n_max_x, n_max_y) a
-    PhysicsError.
+    an integer in 1..min(n_max_x, n_max_y) is a ``FieldError`` naming
+    ``n``, as ``fock._level_index`` words it.
     """
-    _require_int(n=n)
+    _require_int(1, n=n)
     top = min(state.trunc.n_max_x, state.trunc.n_max_y)
-    if not 1 <= n <= top:
-        raise PhysicsError(f"NOON order N = {n} is outside 1..{top} for this truncation")
+    if n > top:
+        raise FieldError("n", f"must be <= {top}, got {n!r}")
     modes = mode_amplitudes(state)
     a_n0 = complex(modes[n, 0])
     a_0n = complex(modes[0, n])

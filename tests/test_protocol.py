@@ -48,18 +48,23 @@ TRUNC = Truncation(12, 12, 4)
 SQRT24 = math.sqrt(24.0)
 SQRT1680 = math.sqrt(1680.0)
 
-# a coupling the pulse-time helpers reject as a field, and the message
+# a coupling that build_noon8 and the pulse-time helpers reject as a field, and the message
 BAD_COUPLINGS = pytest.mark.parametrize(
     "g, message",
     [
-        (True, "must be a real number, got True"),
-        ("1", "must be a real number, got '1'"),
-        (None, "must be a real number, got None"),
-        (1 + 0j, "must be a real number, got (1+0j)"),
+        (0.0, "must be > 0, got 0.0"),
+        (-0.0, "must be > 0, got -0.0"),
+        (-1.0, "must be >= 0, got -1.0"),
         (math.nan, "must be finite, got nan"),
         (math.inf, "must be finite, got inf"),
+        ("1", "must be a real number, got '1'"),
+        (None, "must be a real number, got None"),
+        (True, "must be a real number, got True"),
+        (1 + 0j, "must be a real number, got (1+0j)"),
+        (1e305, "must keep omega = 15000.0 * g finite, got 1e+305"),
     ],
-    ids=["bool", "str", "None", "complex", "nan", "inf"],
+    ids=["zero", "negative-zero", "negative", "nan", "inf", "str", "None", "bool", "complex",
+         "overflowing"],
 )
 
 
@@ -71,7 +76,7 @@ class TestVacuumPulseTime:
         assert vacuum_pulse_time(math.pi / (2 * SQRT24)) == pytest.approx(1.0)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(FieldError, match=r"^g must be > 0, got 0\.0$"):
             vacuum_pulse_time(0.0)
 
     @BAD_COUPLINGS
@@ -111,7 +116,7 @@ class TestSuperpositionPulseTime:
         assert infid_large <= infid_small
 
     def test_bad_arguments(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(FieldError, match=r"^g must be >= 0, got -1\.0$"):
             superposition_pulse_time(-1.0, 10)
         with pytest.raises(ValueError):
             superposition_pulse_time(1.0, 0)
@@ -124,6 +129,21 @@ class TestSuperpositionPulseTime:
     def test_coupling_is_a_field(self, g, message):
         with pytest.raises(FieldError, match=f"^g {re.escape(message)}$"):
             superposition_pulse_time(g, 10)
+
+
+def test_pulse_times_are_the_runs_bit_for_bit():
+    # the helpers time the pulse build_noon8 writes, whose coupling is g only
+    # to a few ulps; at g = 0.3 and 1e9 a g-exact solve finds another record
+    rng = random.Random(30)
+    cases = [(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0), horizon)
+             for horizon in (1, 10, 1000, 10**6, 10**9) for _ in range(3)]
+    for g_x, g_y, horizon in cases + [(0.3, 0.3, 10**9)]:
+        records = run_sequence(build_noon8(g_x, g_y, horizon), TRUNC).steps
+        for g, vacuum, superposition in ((g_x, 1, 5), (g_y, 3, 6)):
+            solved = (records[vacuum].duration, records[superposition].duration,
+                      records[superposition].timing_infidelity)
+            helpers = (vacuum_pulse_time(g), *superposition_pulse_time(g, horizon))
+            assert list(map(float.hex, helpers)) == list(map(float.hex, solved)), (g, horizon)
 
 
 def grid_candidates(w_vac, w_super, horizon):
@@ -257,6 +277,12 @@ def _closed_pair(g):
     return SQRT24 * g, SQRT1680 * g
 
 
+def _builder_pair(g):
+    spec = build_noon8(g, g)[5].spec
+    freq = rabi_frequencies(spec, Truncation(4, 4, 4))
+    return float(freq[0]), float(freq[4])
+
+
 def _full_pair(k, eta):
     spec = PulseSpec("x", k, eta, 15000.0, 0.0, "full")
     freq = rabi_frequencies(spec, Truncation(k, k, k))
@@ -308,18 +334,18 @@ class TestExactSuperpositionSolver:
 
     def test_matches_grid_at_horizon_1e6(self):
         w_vac, w_super = _closed_pair(1.0)
-        assert superposition_pulse_time(1.0, 10**6) == grid_oracle(w_vac, w_super, 10**6)
+        assert solve_super(w_vac, w_super, 10**6) == grid_oracle(w_vac, w_super, 10**6)
 
     def test_horizon_1e12_is_fast_and_small(self):
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            superposition_pulse_time(1.0, 10**12)
+            solve_super(*_closed_pair(1.0), 10**12)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.01
         tracemalloc.start()
         try:
-            t, _ = superposition_pulse_time(1.0, 10**12)
+            t, _ = solve_super(*_closed_pair(1.0), 10**12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,10 +360,28 @@ class TestExactSuperpositionSolver:
         # later record; the solver then keeps the earlier, better pulse.  The
         # pulse changes only when its infidelity drops: at g = 0.6032 the
         # records m = 91918219 and 1607970275 tie at 2.2e-16
-        pulses = [superposition_pulse_time(g, 10**k) for k in range(3, 17)]
+        pulses = [solve_super(*_closed_pair(g), 10**k) for k in range(3, 17)]
         for (t0, infid0), (t1, infid1) in zip(pulses, pulses[1:]):
             assert infid1 < infid0 or (t1, infid1) == (t0, infid0)
         assert pulses[-1][1] < 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=st.floats(0.05, 10.0),
+        builder=st.booleans(),
+        horizons=st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)).map(sorted),
+    )
+    def test_larger_horizon_is_no_worse_while_every_run_is_scored_whole(
+        self, g, builder, horizons
+    ):
+        # the guarantee of the float rule: with no run within the larger
+        # horizon longer than _RUN_TAIL, every record is scored, for the
+        # g-exact pair and for the pair of the pulse build_noon8 writes
+        pair = _builder_pair(g) if builder else _closed_pair(g)
+        small, large = horizons
+        runs, _ = _runs(*pair, large)
+        assume(all(count <= _RUN_TAIL for _, _, count in runs))
+        assert solve_super(*pair, large)[1] <= solve_super(*pair, small)[1]
 
     @pytest.mark.parametrize("w_vac, w_super", FREQUENCY_PAIRS)
     def test_runs_hold_the_records_of_the_descent_walk(self, w_vac, w_super):
@@ -885,7 +929,8 @@ class TestNoonFidelity:
 
     @pytest.mark.parametrize("n", [-5, 0, 13, 99])
     def test_order_outside_the_truncation_rejected(self, n):
-        with pytest.raises(PhysicsError, match=f"N = {n} "):
+        bound = "must be >= 1" if n < 1 else "must be <= 12"
+        with pytest.raises(FieldError, match=f"^n {bound}, got {n}$"):
             noon_fidelity(basis_state("g", 8, 0, TRUNC), n)
 
     @pytest.mark.parametrize("n", [8.0, True, "8"])
@@ -925,26 +970,15 @@ class TestBuildNoon8:
         assert isinstance(steps[5].spec.duration, SuperpositionPi)
         assert steps[5].spec.duration.horizon == 300
 
-    @pytest.mark.parametrize(
-        "g, message",
-        [
-            (0.0, "must be > 0, got 0.0"),
-            (-0.0, "must be > 0, got -0.0"),
-            (-1.0, "must be >= 0, got -1.0"),
-            (math.nan, "must be finite, got nan"),
-            (math.inf, "must be finite, got inf"),
-            ("1", "must be a real number, got '1'"),
-            (None, "must be a real number, got None"),
-            (True, "must be a real number, got True"),
-            (1e305, "must keep omega = 15000.0 * g finite, got 1e+305"),
-        ],
-        ids=["zero", "negative-zero", "negative", "nan", "inf", "str", "None", "bool",
-             "overflowing"],
-    )
+    @BAD_COUPLINGS
     def test_positive_couplings_required(self, g, message):
         for name, args in (("g_x", (g, 1.0)), ("g_y", (1.0, g))):
             with pytest.raises(FieldError, match=f"^{name} {re.escape(message)}$"):
                 build_noon8(*args, 10)
+
+    def test_g_x_is_checked_first(self):
+        with pytest.raises(FieldError, match=r"^g_x must be > 0, got 0\.0$"):
+            build_noon8(0.0, math.nan, 10)
 
     def test_asymmetric_couplings_still_work(self):
         result = run_sequence(build_noon8(1.0, 1.7, 1000), TRUNC, outcome_override="g")
