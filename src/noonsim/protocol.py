@@ -246,8 +246,11 @@ def _runs(
     the sum of the last members of the two runs before it, so the runs grow
     like the Fibonacci numbers and at most log_phi(M) + 2 of them, phi the
     golden ratio, start within a horizon M.  The table costs one Euclid
-    division per block, and a descent only moves forward through it, since
-    |s_r0| falls from one descent to the next.
+    division per block, and one pointer moves forward through it: |s_r0|
+    falls from one descent to the next and r_last never increases along
+    the table, so the pointer rests at the first block, of either side,
+    that reaches below 2 |s_r0|.  Since the sides alternate, the first such
+    block on the side a descent needs is that block or the one after it.
     """
     p_super, q_super = w_super.as_integer_ratio()
     p_vac, q_vac = w_vac.as_integer_ratio()
@@ -256,21 +259,20 @@ def _runs(
     p, q = p // common, q // common
     c = 2 * q
     a, b = 4 * p % c, (3 * p - q) % c
-    sides, at = _nearer_steps(a, c, horizon), [0, 0]
+    blocks, i = _nearer_steps(a, c, horizon), 0
     m, s = 0, (b if 2 * b <= c else b - c)
     runs, descents = [(0, 1, 1)], 0
     while s:
         dist = abs(s)
         w = 2 * dist - 1
         descents += 1
-        # s > 0 needs a step from above, s < 0 one from below
-        blocks, i = sides[s > 0], at[s > 0]
         while i < len(blocks) and blocks[i][4] > w:
             i += 1
-        at[s > 0] = i
-        if i == len(blocks):
+        # s > 0 needs a step from above (an even block), s < 0 one from below
+        j = i + ((i % 2 == 0) != (s > 0))
+        if j >= len(blocks):
             break
-        x0, dx, r0, dr, _ = blocks[i]
+        x0, dx, r0, dr, _ = blocks[j]
         step = x0 + max(0, -(-(r0 - w) // dr)) * dx
         if m + step > horizon:
             break
@@ -291,13 +293,15 @@ def _runs(
     return runs, descents
 
 
-def _nearer_steps(a: int, c: int, horizon: int) -> tuple[list, list]:
+def _nearer_steps(a: int, c: int, horizon: int) -> list:
     """The steps x >= 1 that bring a x mod c nearer to 0 than every shorter step does.
 
-    Returns (below, above), one list per side, each in increasing x, of
-    blocks (x0, dx, r0, dr, r_last): the steps x0 + j dx, j = 0, 1, ..., have
-    a x = r0 - j dr (below) or a x = -(r0 - j dr) (above) mod c, down to
-    r_last, all above 0.  Requires 0 <= a < c.
+    Returns one list of blocks (x0, dx, r0, dr, r_last), in increasing x,
+    whose sides alternate: the steps x0 + j dx, j = 0, 1, ..., of an even
+    block have a x = -(r0 - j dr) mod c (from above), those of an odd block
+    a x = r0 - j dr (from below), down to r_last, all above 0.  Block 0 is
+    the step x = 1 from above, and r_last never increases along the list.
+    Requires 0 <= a < c; a = 0 gives no block.
 
     The points (x, r) with r = a x (mod c) form a lattice.  A lower point
     (x_lo, r_lo) and an upper point (x_hi, -r_hi), r_lo and r_hi > 0, start
@@ -309,30 +313,25 @@ def _nearer_steps(a: int, c: int, horizon: int) -> tuple[list, list]:
     (-r_hi, r_lo): a x mod c lies in [r_lo, c - r_hi].  So the sum is the
     first step to come nearer than both points, on the side of its sign,
     and the sums, taken a Euclid quotient at a time, are every nearer step.
-    The table ends at an exact return (r = 0), after which the residues
-    repeat, or at the first block beyond the horizon.
+    One division replaces the point with the larger residue r_big by
+    r_big mod r_small, which is below r_small, so the next division acts on
+    the other point: the sides take turns, and each block ends at a residue
+    no larger than the last.  The table ends at an exact return (r = 0),
+    after which the residues repeat, or at the first block beyond the
+    horizon.
     """
-    below, above = [], []
     if a == 0:
-        return below, above
-    above.append((1, 1, c - a, 1, c - a))
-    x_lo, r_lo, x_hi, r_hi = 0, c, 1, c - a
-    while x_lo + x_hi <= horizon:
-        if r_lo > r_hi:
-            q, rem = divmod(r_lo, r_hi)
-            n = q if rem else q - 1
-            if n:
-                below.append((x_lo + x_hi, x_hi, r_lo - r_hi, r_hi, r_lo - n * r_hi))
-            x_lo, r_lo = x_lo + q * x_hi, rem
-        else:
-            q, rem = divmod(r_hi, r_lo)
-            n = q if rem else q - 1
-            if n:
-                above.append((x_hi + x_lo, x_lo, r_hi - r_lo, r_lo, r_hi - n * r_lo))
-            x_hi, r_hi = x_hi + q * x_lo, rem
+        return []
+    blocks = [(1, 1, c - a, 1, c - a)]
+    x_big, r_big, x_small, r_small = 0, c, 1, c - a
+    while x_big + x_small <= horizon:
+        q, rem = divmod(r_big, r_small)
+        if rem or q > 1:
+            blocks.append((x_big + x_small, x_small, r_big - r_small, r_small, rem or r_small))
         if not rem:
             break
-    return below, above
+        x_big, r_big, x_small, r_small = x_small, r_small, x_big + q * x_small, rem
+    return blocks
 
 
 def resolve_duration(spec: PulseSpec, freq: np.ndarray) -> tuple[float, float | None]:

@@ -405,12 +405,17 @@ class TestExactSuperpositionSolver:
         assert expand(runs) == expected
         assert solve_super(w_vac, w_super, horizon) == float_rule(w_vac, w_super, expected)
 
-    @pytest.mark.parametrize("g", [0.3, 0.6032, 1.0, 1.7, 2.3, 7.9])
-    def test_noon8_pulse_is_the_float_best_of_all_records(self, g):
+    @pytest.mark.parametrize(
+        "w_vac, w_super",
+        [pytest.param(*_closed_pair(g), id=f"{g}") for g in (0.3, 0.6032, 1.0, 1.7, 2.3, 7.9)]
+        + [pytest.param(*_builder_pair(g), id=f"builder-g{g}") for g in (0.6032, 1.0, 1.7, 2.3)],
+    )
+    def test_noon8_pulse_is_the_float_best_of_all_records(self, w_vac, w_super):
         # as the descent walk chose it: the runs of sqrt(70) are at most 16
         # long up to 1e16, except one of 25 at g = 0.6032 from 1e8 on, whose
-        # skipped records round no better
-        w_vac, w_super = _closed_pair(g)
+        # skipped records round no better.  The pulses build_noon8 writes at
+        # g = 0.3 and 7.9 are not float-best from 1e9 on: the tail rule skips
+        # records of a longer run there
         for k in range(3, 17):
             records, _ = record_walk(w_vac, w_super, 10**k)
             every_record = [[m] for m in records]
@@ -450,13 +455,34 @@ class TestExactSuperpositionSolver:
                             if 0 < r < best[above]:
                                 best[above] = r
                                 expected[above].append((x, r))
-                    for above, blocks in zip((False, True), _nearer_steps(a, c, horizon)):
+                    blocks = _nearer_steps(a, c, horizon)
+                    # odd blocks step from below, even blocks from above
+                    for above, side in ((False, blocks[1::2]), (True, blocks[0::2])):
                         steps = [
                             (x0 + j * dx, r0 - j * dr)
-                            for x0, dx, r0, dr, r_last in blocks
+                            for x0, dx, r0, dr, r_last in side
                             for j in range((r0 - r_last) // dr + 1)
                         ]
                         assert [step for step in steps if step[0] <= horizon] == expected[above]
+
+    def test_nearer_steps_alternate_sides_with_falling_residues(self):
+        # the invariant the one-pointer walk of _runs relies on, at sizes brute
+        # force cannot reach: block 0 is x = 1 from above, the blocks alternate
+        # sides, and r_last never increases along the table
+        rng = random.Random(31)
+        for _ in range(2000):
+            c = rng.randint(2, 10 ** rng.randint(1, 40))
+            a = rng.randrange(1, c)
+            horizon = rng.randint(1, 10 ** rng.randint(0, 16))
+            blocks = _nearer_steps(a, c, horizon)
+            assert blocks[0] == (1, 1, c - a, 1, c - a)
+            for i, (x0, dx, r0, dr, r_last) in enumerate(blocks):
+                for x, r in ((x0, r0), (x0 + (r0 - r_last) // dr * dx, r_last)):
+                    assert 0 < r < c
+                    assert a * x % c == (c - r if i % 2 == 0 else r)
+            lasts = [block[4] for block in blocks]
+            assert lasts == sorted(lasts, reverse=True)
+            assert _nearer_steps(0, c, horizon) == []
 
     def test_near_rational_horizon_1e12_is_fast_and_small(self):
         # w_super / w_vac = 15.333333333333334, within rounding of 46/3:
